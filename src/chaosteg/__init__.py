@@ -15,7 +15,6 @@ from .dynamics import (
     SystemPoint,
     TruncatedDistance,
     apply_component,
-    identity_map,
     iterate,
     point_distance,
     state_distance,
@@ -50,7 +49,6 @@ from .strategies import (
     cids_strategy,
     ciis_strategy,
     plcm_eval,
-    unit_to_cell,
     xor_mix,
 )
 from .suite import SUITES, SuiteResult, run_suite, suite_cap
@@ -86,7 +84,6 @@ __all__ = [
     "embed",
     "emit_report",
     "extract_lscs",
-    "identity_map",
     "inject_lscs",
     "iterate",
     "load_pgm",
@@ -101,7 +98,6 @@ __all__ = [
     "step",
     "strategy_distance",
     "suite_cap",
-    "unit_to_cell",
     "vector_negation",
     "xor_mix",
     "__version__",

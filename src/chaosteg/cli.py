@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -192,12 +191,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "seed": 0,
         "sample_count": DEFAULT_SAMPLE_COUNT,
         "n_iter": DEFAULT_N_ITER,
-        "threads": None,
+        "threads": None,  # still parsed and type-checked, but has no effect
     })
-    threads = eff["threads"] if eff["threads"] is not None else (os.cpu_count() or 1)
     result = run_suite(eff["suite"], eff["n_cells"], eff["seed"],
-                       sample_count=eff["sample_count"], n_iter=eff["n_iter"],
-                       threads=threads)
+                       sample_count=eff["sample_count"], n_iter=eff["n_iter"])
     payload = (result.json + "\n").encode("ascii")
     if ns.report:
         Path(ns.report).write_bytes(payload)
@@ -264,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-count", dest="sample_count", type=int, default=None)
     p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker bound for Monte Carlo chunks; never affects results")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--report", default=None,
                    help="write the JSON report here; summary goes to stdout")
     p.add_argument("--config", default=None, help="key=value config file; flags win")

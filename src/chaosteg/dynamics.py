@@ -16,7 +16,7 @@ strategy are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ContractError, IterationBudgetError
 
@@ -28,7 +28,6 @@ __all__ = [
     "SystemPoint",
     "TruncatedDistance",
     "apply_component",
-    "identity_map",
     "iterate",
     "point_distance",
     "state_distance",
@@ -39,8 +38,6 @@ __all__ = [
 
 DEFAULT_DEPTH = 16
 """Default number of strategy terms compared by the truncated metric."""
-
-_WORD = "strategy term"
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,11 @@ class BitState:
         return (self.value >> (k - 1)) & 1
 
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n_cells))
+        return tuple(map(int, self.to_bitstring()))
 
     def to_bitstring(self) -> str:
         """Render as ``b_1 b_2 ... b_N`` with cell 1 leftmost."""
-        return "".join("1" if (self.value >> i) & 1 else "0" for i in range(self.n_cells))
+        return format(self.value, f"0{self.n_cells}b")[::-1]
 
     def __repr__(self) -> str:
         return f"BitState({self.to_bitstring()!r})"
@@ -109,54 +106,49 @@ class BitState:
 class Strategy:
     """A sequence of cell indices in ``[1..n_cells]``, queried by position.
 
-    Three construction modes share the one sequence contract:
+    One immutable term tuple and a periodic flag hold both kinds:
 
-    * :meth:`finite` materializes a tuple of terms; reading past the end
-      raises :class:`IterationBudgetError` (the iteration budget is spent).
+    * :meth:`finite` holds exactly its terms; reading past the end raises
+      :class:`IterationBudgetError` (the iteration budget is spent).
     * :meth:`periodic` repeats a pattern forever.  The pattern is reduced
       to its primitive (shortest) form, so equal sequences compare equal.
-    * :meth:`from_iter` wraps a deterministic stream and memoizes consumed
-      terms, which makes the stream random-access by index.
 
-    Instances are immutable values; :meth:`shift` returns a new strategy
-    with the first ``k`` terms dropped.  Stream-backed strategies share
-    their memo across shifted views and are not safe to query from several
-    threads at once; finite and periodic strategies are.
+    Terms are checked once, when the strategy is built.  Instances are
+    immutable values; :meth:`shift` returns a new strategy with the first
+    ``k`` terms dropped.
     """
 
-    __slots__ = ("n_cells", "_pattern", "_buf", "_source", "_offset", "_streamed")
+    __slots__ = ("n_cells", "_terms", "_periodic")
 
-    def __init__(self, n_cells: int, *, _pattern=None, _buf=None, _source=None,
-                 _offset=0, _streamed=False) -> None:
+    def __init__(self, terms: Iterable[int], n_cells: int, periodic: bool = False) -> None:
         if not isinstance(n_cells, int) or n_cells < 1:
             raise ContractError(f"n_cells must be a positive integer, got {n_cells!r}")
+        terms = tuple(terms)
+        if terms and not (set(map(type, terms)) <= {int}
+                          and min(terms) >= 1 and max(terms) <= n_cells):
+            bad = next(t for t in terms if type(t) is not int or not 1 <= t <= n_cells)
+            raise ContractError(f"strategy terms must be integers in 1..{n_cells}, got {bad!r}")
+        if periodic:
+            if not terms:
+                raise ContractError("a periodic strategy needs a non-empty pattern")
+            terms = _primitive(terms)
         self.n_cells = n_cells
-        self._pattern = _pattern
-        self._buf = _buf
-        self._source = _source
-        self._offset = _offset
-        self._streamed = _streamed
-
-    # construction -------------------------------------------------------
+        self._terms = terms
+        self._periodic = periodic
 
     @classmethod
     def finite(cls, terms: Iterable[int], n_cells: int) -> "Strategy":
-        s = cls(n_cells, _buf=[], _source=None)
-        for t in terms:
-            s._buf.append(s._checked(t))
-        return s
+        return cls(terms, n_cells)
 
     @classmethod
     def periodic(cls, pattern: Iterable[int], n_cells: int) -> "Strategy":
-        probe = cls(n_cells)
-        pat = tuple(probe._checked(t) for t in pattern)
-        if not pat:
-            raise ContractError("a periodic strategy needs a non-empty pattern")
-        return cls(n_cells, _pattern=_primitive(pat))
+        return cls(pattern, n_cells, periodic=True)
 
-    @classmethod
-    def from_iter(cls, source: Iterable[int], n_cells: int) -> "Strategy":
-        return cls(n_cells, _buf=[], _source=iter(source), _streamed=True)
+    def _derived(self, terms: tuple[int, ...]) -> "Strategy":
+        """Same kind and cell count over ``terms``, already checked."""
+        s = object.__new__(Strategy)
+        s.n_cells, s._terms, s._periodic = self.n_cells, terms, self._periodic
+        return s
 
     # sequence contract ---------------------------------------------------
 
@@ -164,25 +156,26 @@ class Strategy:
         """The strategy term at 0-based position ``i``."""
         if not isinstance(i, int) or i < 0:
             raise ContractError(f"term positions are non-negative integers, got {i!r}")
-        if self._pattern is not None:
-            return self._pattern[i % len(self._pattern)]
-        j = i + self._offset
-        while len(self._buf) <= j:
-            if self._source is None:
-                raise IterationBudgetError(
-                    f"strategy holds {len(self._buf) - self._offset} terms, "
-                    f"{_WORD} {i} was requested"
-                )
-            try:
-                t = next(self._source)
-            except StopIteration:
-                self._source = None
-                continue
-            self._buf.append(self._checked(t))
-        return self._buf[j]
+        if self._periodic:
+            return self._terms[i % len(self._terms)]
+        if i >= len(self._terms):
+            raise IterationBudgetError(
+                f"strategy holds {len(self._terms)} terms, strategy term {i} was requested"
+            )
+        return self._terms[i]
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.term(i) for i in range(n))
+        """The first ``n`` terms."""
+        if not isinstance(n, int) or n < 0:
+            raise ContractError(f"prefix length must be a non-negative integer, got {n!r}")
+        if self._periodic:
+            q, r = divmod(n, len(self._terms))
+            return self._terms * q + self._terms[:r]
+        if n > len(self._terms):
+            raise IterationBudgetError(
+                f"strategy holds {len(self._terms)} terms, {n} were requested"
+            )
+        return self._terms[:n]
 
     def shift(self, k: int = 1) -> "Strategy":
         """Drop the first ``k`` terms."""
@@ -190,75 +183,47 @@ class Strategy:
             raise ContractError(f"shift count must be a non-negative integer, got {k!r}")
         if k == 0:
             return self
-        if self._pattern is not None:
-            r = k % len(self._pattern)
-            return Strategy(self.n_cells, _pattern=self._pattern[r:] + self._pattern[:r])
-        return Strategy(self.n_cells, _buf=self._buf, _source=self._source,
-                        _offset=self._offset + k, _streamed=self._streamed)
+        if self._periodic:
+            r = k % len(self._terms)
+            return self._derived(self._terms[r:] + self._terms[:r])
+        return self._derived(self._terms[k:])
 
     @property
     def kind(self) -> str:
-        if self._pattern is not None:
-            return "periodic"
-        return "generator" if self._streamed else "finite"
+        return "periodic" if self._periodic else "finite"
 
     @property
     def length(self) -> int | None:
-        """Number of available terms, or None when unbounded or unknown."""
-        if self._pattern is not None or self._source is not None:
-            return None
-        return len(self._buf) - self._offset
+        """Number of available terms, or None when unbounded."""
+        return None if self._periodic else len(self._terms)
 
     @property
     def pattern(self) -> tuple[int, ...] | None:
-        return self._pattern
+        return self._terms if self._periodic else None
 
     def describe(self) -> dict:
         """A JSON-ready summary used in reports."""
-        if self._pattern is not None:
-            return {"kind": "periodic", "pattern": list(self._pattern)}
-        if not self._streamed:
-            terms = list(self._buf[self._offset:])
-            out = {"kind": "finite", "length": len(terms), "terms": terms[:64]}
-            return out
-        known = list(self._buf[self._offset:self._offset + 16])
-        return {"kind": "generator", "known_prefix": known}
+        if self._periodic:
+            return {"kind": "periodic", "pattern": list(self._terms)}
+        return {"kind": "finite", "length": len(self._terms), "terms": list(self._terms[:64])}
 
     # value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Strategy):
             return NotImplemented
-        if self.kind != other.kind or self.n_cells != other.n_cells:
-            return False
-        if self._pattern is not None:
-            return self._pattern == other._pattern
-        if self.kind == "finite":
-            return self._buf[self._offset:] == other._buf[other._offset:]
-        return self is other
+        return ((self.n_cells, self._periodic, self._terms)
+                == (other.n_cells, other._periodic, other._terms))
 
     def __hash__(self) -> int:
-        if self._pattern is not None:
-            return hash((self.n_cells, self._pattern))
-        if self.kind == "finite":
-            return hash((self.n_cells, tuple(self._buf[self._offset:])))
-        return object.__hash__(self)
+        return hash((self.n_cells, self._periodic, self._terms))
 
     def __repr__(self) -> str:
-        if self._pattern is not None:
-            return f"Strategy.periodic({list(self._pattern)}, n_cells={self.n_cells})"
-        if self.kind == "finite":
-            head = self._buf[self._offset:self._offset + 8]
-            tail = "..." if self.length is not None and self.length > 8 else ""
-            return f"Strategy.finite({head}{tail}, n_cells={self.n_cells})"
-        return f"<Strategy generator n_cells={self.n_cells}>"
-
-    def _checked(self, t) -> int:
-        if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= self.n_cells:
-            raise ContractError(
-                f"strategy terms must be integers in 1..{self.n_cells}, got {t!r}"
-            )
-        return t
+        if self._periodic:
+            return f"Strategy.periodic({list(self._terms)}, n_cells={self.n_cells})"
+        head = list(self._terms[:8])
+        tail = "..." if len(self._terms) > 8 else ""
+        return f"Strategy.finite({head}{tail}, n_cells={self.n_cells})"
 
 
 def _primitive(pattern: tuple[int, ...]) -> tuple[int, ...]:
@@ -297,10 +262,6 @@ def vector_negation(state: BitState) -> BitState:
     """Flip every cell: the update map used by the hiding scheme."""
     mask = (1 << state.n_cells) - 1
     return BitState(state.value ^ mask, state.n_cells)
-
-
-def identity_map(state: BitState) -> BitState:
-    return state
 
 
 def apply_component(f: IterationFunction, k: int, state: BitState) -> BitState:
@@ -346,8 +307,8 @@ def iterate(f: IterationFunction, initial: BitState, strategy: Strategy,
             mask ^= 1 << (t - 1)
         return BitState(initial.value ^ mask, initial.n_cells)
     state = initial
-    for i in range(n_iter):
-        state = apply_component(f, strategy.term(i), state)
+    for t in strategy.prefix(n_iter):
+        state = apply_component(f, t, state)
     return state
 
 

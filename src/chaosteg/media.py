@@ -182,6 +182,9 @@ def load_pgm(data: bytes) -> CoverMedia:
         raise ParseError(f"truncated PGM pixel data: expected {n} bytes, found {len(data) - pos}")
     if len(data) - pos > n:
         raise ParseError(f"{len(data) - pos - n} trailing bytes after PGM pixel data")
+    peak = int(np.frombuffer(data, dtype=np.uint8, offset=pos).max())
+    if peak > maxval:
+        raise ParseError(f"pixel value {peak} exceeds maxval {maxval}")
     return CoverMedia(payload=data, kind="pgm", lsc_map=range(pos, pos + n),
                       width=width, height=height, maxval=maxval, pixel_offset=pos)
 

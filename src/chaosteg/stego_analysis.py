@@ -8,20 +8,18 @@ cover-driven mode is checked by exhaustively enumerating the watermarked
 states it can produce.
 
 Monte Carlo sampling always uses a fixed layout of 8 substream chunks
-seeded ``[seed, chunk]``, so results are byte-identical for any worker
-count and aggregation order (the aggregates are integer histograms).
+seeded ``[seed, chunk]``, so results are byte-identical across runs (the
+aggregates are integer histograms).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
-from .dynamics import BitState, Strategy, iterate, vector_negation
+from .dynamics import BitState, iterate, vector_negation
 from .errors import ContractError, UnderpoweredTestError
 from .fixedpoint import Fixed64
 from .strategies import KeyMaterial, PlcmParams, ciis_strategy, cids_strategy
@@ -32,7 +30,6 @@ __all__ = [
     "DistributionTable",
     "exact_distribution_step",
     "exact_pushforward",
-    "iterate_negation_batch",
     "mc_exact_agreement",
     "strategy_state_dependence",
     "verify_ciis_stego",
@@ -118,19 +115,6 @@ def exact_pushforward(dist: DistributionTable, terms: Iterable[int]) -> Distribu
     return dist
 
 
-def iterate_negation_batch(values: np.ndarray, strategy: Strategy,
-                           n_iter: int, n_cells: int) -> np.ndarray:
-    """Iterate many start states at once under the negation update.
-
-    The per-sample fold reduces to one XOR with the parity mask of the
-    selected cells; the mask is produced by running the real ``iterate``
-    on the zero state, and tests hold this batch equal to the scalar
-    pipeline sample by sample.
-    """
-    mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
-    return np.asarray(values) ^ mask
-
-
 def _derive_km(n_cells: int, seed: int, tag: int, burn_in: int = 997) -> KeyMaterial:
     """Reproducible key material for seeded verdicts."""
     rng = np.random.default_rng([seed, tag])
@@ -146,24 +130,15 @@ def _chunk_sizes(sample_count: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(_MC_CHUNKS)]
 
 
-def _sample_histogram(n_cells: int, sample_count: int, seed: int, mask: int,
-                      threads: int) -> np.ndarray:
+def _sample_histogram(n_cells: int, sample_count: int, seed: int, mask: int) -> np.ndarray:
     """Histogram of ``uniform cover XOR mask`` over a fixed 8-chunk layout."""
     size = 1 << n_cells
-    sizes = _chunk_sizes(sample_count)
-
-    def one_chunk(c: int) -> np.ndarray:
+    counts = np.zeros(size, dtype=np.int64)
+    for c, chunk in enumerate(_chunk_sizes(sample_count)):
         rng = np.random.default_rng([seed, c])
-        samples = rng.integers(0, size, size=sizes[c], dtype=np.int64)
-        return np.bincount(samples ^ mask, minlength=size)
-
-    workers = max(1, min(int(threads), _MC_CHUNKS))
-    if workers == 1:
-        parts = [one_chunk(c) for c in range(_MC_CHUNKS)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(_MC_CHUNKS)))
-    return np.sum(parts, axis=0)
+        samples = rng.integers(0, size, size=chunk, dtype=np.int64)
+        counts += np.bincount(samples ^ mask, minlength=size)
+    return counts
 
 
 def _check_mc_bounds(n_cells: int, cap: int, n_iter: int, sample_count: int) -> None:
@@ -180,8 +155,7 @@ def _check_mc_bounds(n_cells: int, cap: int, n_iter: int, sample_count: int) -> 
 
 
 def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_000,
-                      seed: int = 0, km: KeyMaterial | None = None,
-                      threads: int = 1) -> dict:
+                      seed: int = 0, km: KeyMaterial | None = None) -> dict:
     """Two-route check that keyed embedding preserves a uniform cover law.
 
     Exact route: starting from the uniform table, apply the one-step push
@@ -207,8 +181,14 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
     exact_pass = deviation < EXACT_DEVIATION_TOLERANCE
 
     mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
-    counts = _sample_histogram(n_cells, sample_count, seed, mask, threads)
-    statistic, p_value = stats.chisquare(counts)
+    counts = _sample_histogram(n_cells, sample_count, seed, mask)
+    bins = 1 << n_cells
+    expected = sample_count / bins
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    # scipy is imported here, not at module level, so that embedding and
+    # detection never pay for it
+    from scipy.special import chdtrc
+    p_value = float(chdtrc(bins - 1, statistic))
     mc_pass = bool(p_value > CHI_SQUARE_P_THRESHOLD)
 
     return {
@@ -229,10 +209,10 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
         },
         "monte_carlo": {
             "sample_count": sample_count,
-            "bins": 1 << n_cells,
-            "dof": (1 << n_cells) - 1,
-            "statistic": float(statistic),
-            "p_value": float(p_value),
+            "bins": bins,
+            "dof": bins - 1,
+            "statistic": statistic,
+            "p_value": p_value,
             "threshold": CHI_SQUARE_P_THRESHOLD,
             "pass": mc_pass,
         },
@@ -241,8 +221,7 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
 
 
 def mc_exact_agreement(n_cells: int = 4, n_iter: int = 64, sample_count: int = 1_000_000,
-                       seed: int = 0, km: KeyMaterial | None = None,
-                       threads: int = 1) -> dict:
+                       seed: int = 0, km: KeyMaterial | None = None) -> dict:
     """Total-variation distance between sampled and exactly computed output laws.
 
     The sampled law embeds uniform covers as in :func:`verify_ciis_stego`;
@@ -260,7 +239,7 @@ def mc_exact_agreement(n_cells: int = 4, n_iter: int = 64, sample_count: int = 1
 
     exact = exact_pushforward(DistributionTable.uniform(n_cells), terms)
     mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
-    counts = _sample_histogram(n_cells, sample_count, seed, mask, threads)
+    counts = _sample_histogram(n_cells, sample_count, seed, mask)
     empirical = counts / sample_count
     tv = 0.5 * float(np.abs(empirical - exact.probs).sum())
     bins = 1 << n_cells

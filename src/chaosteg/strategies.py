@@ -10,11 +10,10 @@ and is deliberately the degenerate counterpart: see
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .dynamics import BitState, Strategy
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .fixedpoint import FRACTION_BITS, SCALE, Fixed64, rne_div
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "ciis_strategy",
     "cids_strategy",
     "plcm_eval",
-    "unit_to_cell",
     "xor_mix",
 ]
 
@@ -60,29 +58,20 @@ class PlcmParams:
         return Fixed64.from_float(self.p)
 
 
-def plcm_eval(x, params: PlcmParams):
+def plcm_eval(x: Fixed64, params: PlcmParams) -> Fixed64:
     """Evaluate the piecewise linear chaotic map F at ``x``.
 
     F(x) = x / p on [0, p), (x - p) / (1/2 - p) on [p, 1/2], and F(1 - x)
     for x above 1/2.  The reflection is applied once, before the branch
     test, which makes the map total: F(1/2) = 1 and F(1) = F(0) = 0.
 
-    A :class:`Fixed64` input runs the 64-bit integer pipeline (division
-    rounded to nearest even) and returns a :class:`Fixed64`; the single
-    value-1 output, reached only at x = 1/2 exactly, wraps to 0.  A float
-    input follows IEEE double arithmetic and returns a float in [0, 1].
+    The map runs on the 64-bit integer grid (division rounded to nearest
+    even); the single value-1 output, reached only at x = 1/2 exactly,
+    wraps to 0.
     """
-    if isinstance(x, Fixed64):
-        return _plcm_fixed(x, params)
-    xf = float(x)
-    if not 0.0 <= xf <= 1.0:
-        raise DomainError(f"map input must lie in [0, 1], got {x!r}")
-    if xf > 0.5:
-        xf = 1.0 - xf
-    p = params.p
-    if xf < p:
-        return xf / p
-    return (xf - p) / (0.5 - p)
+    if not isinstance(x, Fixed64):
+        raise ContractError(f"map input must be a Fixed64, got {x!r}")
+    return _plcm_fixed(x, params)
 
 
 def _plcm_fixed(x: Fixed64, params: PlcmParams) -> Fixed64:
@@ -116,20 +105,6 @@ def _as_fixed(v) -> Fixed64:
     raise ContractError(f"expected a float in [0, 1] or a Fixed64, got {v!r}")
 
 
-def unit_to_cell(u: float, n_cells: int) -> int:
-    """Map u in [0, 1] to a cell index: floor(n_cells * u) + 1.
-
-    u = 1 exactly would land one past the last cell and is clamped; the
-    fixed-point keystream never produces it, but the float interface can.
-    """
-    if not isinstance(n_cells, int) or n_cells < 1:
-        raise ContractError(f"n_cells must be a positive integer, got {n_cells!r}")
-    uf = float(u)
-    if not 0.0 <= uf <= 1.0:
-        raise DomainError(f"expected a value in [0, 1], got {u!r}")
-    return min(int(n_cells * uf) + 1, n_cells)
-
-
 @dataclass(frozen=True)
 class KeyMaterial:
     """Everything the keyed strategy generator consumes.
@@ -156,51 +131,42 @@ class KeyMaterial:
             raise ContractError(f"burn_in must be a non-negative integer, got {self.burn_in!r}")
 
 
-def ciis_strategy(km: KeyMaterial, n_iter: int | None) -> Strategy:
+def _check_budget(n_iter) -> None:
+    if not isinstance(n_iter, int) or n_iter < 1:
+        raise ContractError(f"n_iter must be a positive integer, got {n_iter!r}")
+
+
+def ciis_strategy(km: KeyMaterial, n_iter: int) -> Strategy:
     """Keyed strategy: term n is ``floor(n_cells * K_{n+D}) + 1``.
 
     The seed is ``K_0 = message XOR key``; subsequent iterates come from
     the chaotic map under ``km.params`` and the first ``D = km.burn_in``
     of them are discarded.  The cell index is computed exactly in integer
     arithmetic from the 64-bit iterate, so the output is bit-reproducible
-    and never depends on any cover content.
-
-    With an explicit ``n_iter`` the terms are materialized up front (one
-    keystream pass, a finite strategy); with ``n_iter=None`` the keystream
-    is evaluated lazily and memoized.
+    and never depends on any cover content.  The ``n_iter`` terms are
+    computed in one keystream pass.
     """
-    if n_iter is not None and (not isinstance(n_iter, int) or n_iter < 1):
-        raise ContractError(f"n_iter must be a positive integer or None, got {n_iter!r}")
+    _check_budget(n_iter)
     n = km.n_cells
-
-    def stream():
-        k = xor_mix(km.message, km.key)
-        for _ in range(km.burn_in):
-            k = _plcm_fixed(k, km.params)
-        while True:
-            yield (n * k.raw >> FRACTION_BITS) + 1
-            k = _plcm_fixed(k, km.params)
-
-    if n_iter is None:
-        return Strategy.from_iter(stream(), n)
-    gen = stream()
-    return Strategy.finite((next(gen) for _ in range(n_iter)), n)
+    k = xor_mix(km.message, km.key)
+    for _ in range(km.burn_in):
+        k = _plcm_fixed(k, km.params)
+    terms = [(n * k.raw >> FRACTION_BITS) + 1]
+    for _ in range(n_iter - 1):
+        k = _plcm_fixed(k, km.params)
+        terms.append((n * k.raw >> FRACTION_BITS) + 1)
+    return Strategy.finite(terms, n)
 
 
-def cids_strategy(cover_lscs: BitState, n_iter: int | None) -> Strategy:
+def cids_strategy(cover_lscs: BitState, n_iter: int) -> Strategy:
     """Cover-driven strategy read off the initial LSC vector.
 
     Term k (1-based) is k when k <= n_cells and cell k of ``cover_lscs``
     is 1, and 1 otherwise; past the cell count every term is 1.  The whole
     sequence is fixed by the initial vector.
     """
-    if n_iter is not None and (not isinstance(n_iter, int) or n_iter < 1):
-        raise ContractError(f"n_iter must be a positive integer or None, got {n_iter!r}")
-    n = cover_lscs.n_cells
-
-    def term_for(k: int) -> int:
-        return k if k <= n and cover_lscs.bit(k) == 1 else 1
-
-    if n_iter is None:
-        return Strategy.from_iter((term_for(i + 1) for i in itertools.count()), n)
-    return Strategy.finite((term_for(i + 1) for i in range(n_iter)), n)
+    _check_budget(n_iter)
+    bits = cover_lscs.to_bitstring()[:n_iter]
+    terms = [k if b == "1" else 1 for k, b in enumerate(bits, start=1)]
+    terms += [1] * (n_iter - len(terms))
+    return Strategy.finite(terms, cover_lscs.n_cells)

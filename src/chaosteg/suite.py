@@ -54,8 +54,8 @@ def run_suite(suite: str, n_cells: int, seed: int,
               n_iter: int = DEFAULT_N_ITER, threads: int = 1) -> SuiteResult:
     """Run the requested verdicts and emit their deterministic report.
 
-    Results never depend on ``threads``; the flag only bounds workers and
-    is deliberately left out of the config echo.
+    ``threads`` is accepted for compatibility and ignored: the verdicts
+    run on one thread, and the report never depended on it.
     """
     cap = suite_cap(suite)
     if not isinstance(n_cells, int) or not 1 <= n_cells <= cap:
@@ -68,12 +68,10 @@ def run_suite(suite: str, n_cells: int, seed: int,
     verdicts: dict = {}
     if suite in ("full", "stego"):
         verdicts["ciis_stego"] = verify_ciis_stego(
-            n_cells, n_iter=n_iter, sample_count=sample_count, seed=seed,
-            threads=threads)
+            n_cells, n_iter=n_iter, sample_count=sample_count, seed=seed)
         verdicts["cids_not_stego"] = verify_cids_not_stego(n_cells)
         verdicts["mc_exact_agreement"] = mc_exact_agreement(
-            n_cells, n_iter=n_iter, sample_count=sample_count, seed=seed,
-            threads=threads)
+            n_cells, n_iter=n_iter, sample_count=sample_count, seed=seed)
         verdicts["strategy_state_dependence"] = strategy_state_dependence(
             min(n_cells, 6), seed=seed)
     if suite in ("full", "chaos"):

@@ -66,7 +66,7 @@ def test_criterion_2_exact_uniform_fixed_point():
 
 def test_criterion_3_monte_carlo_uniformity():
     t0 = time.perf_counter()
-    r = verify_ciis_stego(n_cells=8, sample_count=1_000_000, seed=0, threads=4)
+    r = verify_ciis_stego(n_cells=8, sample_count=1_000_000, seed=0)
     elapsed = time.perf_counter() - t0
     p = r["monte_carlo"]["p_value"]
     report(3, "keyed embedding passes chi-square uniformity", r["pass"], elapsed,
@@ -146,7 +146,7 @@ def test_criterion_8_analyze_determinism(tmp_path, capsys):
 
 def test_criterion_9_sampled_vs_exact_agreement():
     t0 = time.perf_counter()
-    r = mc_exact_agreement(n_cells=4, sample_count=1_000_000, seed=0, threads=4)
+    r = mc_exact_agreement(n_cells=4, sample_count=1_000_000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = r["pass"] and r["total_variation"] < 0.01
     report(9, "sampled law within 0.01 TV of exact law", ok, elapsed, 30.0,

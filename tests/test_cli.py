@@ -8,6 +8,7 @@ import pytest
 
 from chaosteg.cli import main
 from chaosteg.media import extract_lscs, load_pgm, raw_cover
+from chaosteg.strategies import cids_strategy
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 
@@ -151,6 +152,18 @@ def test_lscs_sniffs_pgm(tmp_path, capsys):
     assert "n_cells=4" in out
 
 
+def test_lscs_and_cids_agree_with_numpy_plane_at_256x256(tmp_path, capsys):
+    f = write_pgm(tmp_path / "c.pgm", width=256, height=256, seed=3)
+    plane = np.frombuffer(f.read_bytes()[-256 * 256:], dtype=np.uint8) & 1
+    code, out, _ = run(["lscs", "--in", str(f)], capsys)
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert lines["lscs"] == "".join(map(str, plane))
+    n = plane.size
+    terms = cids_strategy(extract_lscs(load_pgm(f.read_bytes())), n).prefix(n)
+    assert terms == tuple(np.where(plane == 1, np.arange(1, n + 1), 1).tolist())
+
+
 # --- config files ----------------------------------------------------------------
 
 
@@ -260,6 +273,14 @@ def test_analyze_config_file(tmp_path, capsys):
 
 
 # --- process-level smoke ------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, chaosteg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point(tmp_path):

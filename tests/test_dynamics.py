@@ -9,7 +9,6 @@ from chaosteg.dynamics import (
     Strategy,
     SystemPoint,
     apply_component,
-    identity_map,
     iterate,
     point_distance,
     state_distance,
@@ -76,6 +75,11 @@ def test_strategy_finite_contract():
         Strategy.finite((0,), 3)
     with pytest.raises(ContractError):
         Strategy.finite((4,), 3)
+    for junk in ((1.0,), (True,), ("1",)):
+        with pytest.raises(ContractError):
+            Strategy.finite(junk, 3)
+    with pytest.raises(ContractError):
+        Strategy.periodic((), 3)
 
 
 def test_strategy_periodic_repeats_and_reduces():
@@ -90,26 +94,11 @@ def test_strategy_shift_views():
     s = Strategy.finite((1, 2, 3, 4), 4)
     assert s.shift(2).prefix(2) == (3, 4)
     assert s.shift(0) is s
-    gen = Strategy.from_iter(iter((1, 2, 3)), 3)
-    assert gen.term(0) == 1
-    assert gen.shift(1).term(0) == 2
-    assert gen.term(1) == 2  # shifting does not consume the original view
-
-
-def test_strategy_from_iter_memoizes_and_ends():
-    calls = []
-
-    def src():
-        for t in (2, 1, 2):
-            calls.append(t)
-            yield t
-
-    s = Strategy.from_iter(src(), 2)
-    assert s.term(2) == 2
-    assert s.term(0) == 2
-    assert calls == [2, 1, 2]  # random access did not re-consume
+    assert s.shift(1).term(0) == 2
+    assert s.term(1) == 2  # shifting leaves the original value intact
+    assert s.shift(4).length == 0
     with pytest.raises(IterationBudgetError):
-        s.term(3)
+        s.shift(2).prefix(3)
 
 
 def test_strategy_value_semantics():
@@ -128,7 +117,7 @@ def test_apply_component_examples():
     assert apply_component(vector_negation, 1, BitState.from_bits((0,))).bits() == (1,)
     x = BitState.from_bits((0, 1, 1, 0))
     for k in range(1, 5):
-        assert apply_component(identity_map, k, x) == x
+        assert apply_component(lambda s: s, k, x) == x
 
 
 def test_apply_component_exhaustive_small():
@@ -164,7 +153,7 @@ def test_step_examples():
     assert q.state.bits() == (1, 1, 1, 1)
     assert q.strategy.prefix(1) == (1,)
 
-    r = step(identity_map, p)
+    r = step(lambda s: s, p)
     assert r.state == p.state
     assert r.strategy.prefix(1) == (1,)
 

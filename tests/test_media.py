@@ -138,6 +138,9 @@ def test_pgm_rejections():
         load_pgm(pgm_bytes(0, 2, b""))
     with pytest.raises(ParseError):
         load_pgm(b"P5\n2 2\n255")  # header cut off before the separator
+    with pytest.raises(ParseError):
+        load_pgm(pgm_bytes(2, 1, bytes([254, 255]), maxval=254))  # pixel above maxval
+    assert load_pgm(pgm_bytes(2, 1, bytes([253, 254]), maxval=254)).maxval == 254
 
 
 def test_pgm_cover_shape_contract():

@@ -9,7 +9,6 @@ from chaosteg.stego_analysis import (
     DistributionTable,
     exact_distribution_step,
     exact_pushforward,
-    iterate_negation_batch,
     mc_exact_agreement,
     strategy_state_dependence,
     verify_ciis_stego,
@@ -107,23 +106,6 @@ def test_pushforward_fixed_terms_tracks_iteration():
     assert out.probs[final.value] == pytest.approx(1.0)
 
 
-# --- batch iteration ------------------------------------------------------------
-
-
-@given(st.data())
-@settings(max_examples=40)
-def test_batch_matches_scalar_pipeline(data):
-    n = data.draw(st.integers(1, 8))
-    terms = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=24))
-    strat = Strategy.finite(terms, n)
-    values = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1),
-                                         min_size=1, max_size=40)))
-    batch = iterate_negation_batch(values, strat, len(terms), n)
-    for v, got in zip(values, batch):
-        want = iterate(vector_negation, BitState(int(v), n), strat, len(terms))
-        assert int(got) == want.value
-
-
 # --- keyed-mode verdict -----------------------------------------------------------
 
 
@@ -149,7 +131,7 @@ def test_verify_ciis_stego_bounds():
 
 def test_verify_ciis_stego_deterministic():
     a = verify_ciis_stego(n_cells=4, sample_count=20_000, seed=9)
-    b = verify_ciis_stego(n_cells=4, sample_count=20_000, seed=9, threads=5)
+    b = verify_ciis_stego(n_cells=4, sample_count=20_000, seed=9)
     assert a == b
 
 

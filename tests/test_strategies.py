@@ -14,7 +14,6 @@ from chaosteg.strategies import (
     cids_strategy,
     ciis_strategy,
     plcm_eval,
-    unit_to_cell,
     xor_mix,
 )
 
@@ -38,40 +37,47 @@ def test_params_reject_boundary_and_junk():
         PlcmParams(1e-25)  # truncates to zero on the 64-bit grid
 
 
-# --- the map, float route ----------------------------------------------------
+# --- the map -------------------------------------------------------------------
+
+
+def _f(x: float) -> Fixed64:
+    return Fixed64.from_float(x)
 
 
 def test_plcm_float_examples():
+    # float-valued examples, run on the fixed-point grid
     p = PlcmParams(0.25)
-    assert plcm_eval(0.0, p) == 0.0
-    assert plcm_eval(0.2, p) == pytest.approx(0.8, abs=1e-12)
-    assert plcm_eval(0.3, p) == pytest.approx(0.2, abs=1e-12)
-    assert plcm_eval(0.7, p) == pytest.approx(0.2, abs=1e-12)
-    assert plcm_eval(0.7, p) == plcm_eval(1.0 - 0.7, p)
+    assert plcm_eval(_f(0.0), p).raw == 0
+    assert plcm_eval(_f(0.2), p).to_float() == pytest.approx(0.8, abs=1e-12)
+    assert plcm_eval(_f(0.3), p).to_float() == pytest.approx(0.2, abs=1e-12)
+    assert plcm_eval(_f(0.7), p).to_float() == pytest.approx(0.2, abs=1e-12)
+    assert plcm_eval(_f(0.75), p) == plcm_eval(_f(1.0 - 0.75), p)
 
 
 def test_plcm_totality_at_the_seams():
     p = PlcmParams(0.25)
-    assert plcm_eval(0.5, p) == 1.0
-    assert plcm_eval(1.0, p) == plcm_eval(0.0, p) == 0.0
-    assert plcm_eval(0.25, p) == 0.0  # x = p enters the second branch
+    # F(1/2) = 1, whose 64-bit fraction is 0; F(1) = F(0) = 0
+    assert plcm_eval(_f(0.5), p).raw == 0
+    assert plcm_eval(_f(1.0), p) == plcm_eval(_f(0.0), p) == Fixed64(0)
+    assert plcm_eval(_f(0.25), p).raw == 0  # x = p enters the second branch
 
 
 def test_plcm_float_domain_error():
+    # values outside [0, 1] are refused on the way onto the grid, and
+    # plcm_eval itself takes only grid values
     p = PlcmParams(0.25)
     with pytest.raises(DomainError):
-        plcm_eval(-0.2, p)
+        plcm_eval(_f(-0.2), p)
     with pytest.raises(DomainError):
-        plcm_eval(1.2, p)
+        plcm_eval(_f(1.2), p)
+    with pytest.raises(ContractError):
+        plcm_eval(0.2, p)
 
 
 @given(st.floats(0.0, 1.0, allow_nan=False), st.floats(0.01, 0.49))
 def test_plcm_float_stays_in_unit_interval(x, p):
-    y = plcm_eval(x, PlcmParams(p))
+    y = plcm_eval(_f(x), PlcmParams(p)).to_float()
     assert 0.0 <= y <= 1.0
-
-
-# --- the map, fixed-point route ----------------------------------------------
 
 
 def test_plcm_fixed_wraps_only_at_half():
@@ -79,6 +85,9 @@ def test_plcm_fixed_wraps_only_at_half():
     half = Fixed64(1 << 63)
     assert plcm_eval(half, p).raw == 0  # F(1/2) = 1, whose fraction is 0
     assert plcm_eval(Fixed64(0), p).raw == 0
+    # either neighbour of 1/2 stays just below 1
+    assert plcm_eval(Fixed64((1 << 63) - 1), p).raw == SCALE - 4
+    assert plcm_eval(Fixed64((1 << 63) + 1), p).raw == SCALE - 4
 
 
 @given(st.integers(0, SCALE - 1), st.floats(0.01, 0.49))
@@ -97,11 +106,13 @@ def test_plcm_fixed_reflection_symmetry(raw):
 
 
 def test_plcm_fixed_tracks_float_route():
+    # against the map written out in double arithmetic
     p = PlcmParams(0.3)
     rng = np.random.default_rng(5)
     for x in rng.random(200):
         fixed = plcm_eval(Fixed64.from_float(float(x)), p).to_float()
-        direct = plcm_eval(float(x), p)
+        xf = min(x, 1.0 - x)
+        direct = xf / 0.3 if xf < 0.3 else (xf - 0.3) / (0.5 - 0.3)
         assert fixed == pytest.approx(direct, abs=1e-9)
 
 
@@ -140,16 +151,6 @@ def test_xor_mix_rejects_junk():
         xor_mix(1.5, 0.25)
 
 
-def test_unit_to_cell_examples():
-    assert unit_to_cell(0.0, 8) == 1
-    assert unit_to_cell(0.35, 8) == 3  # floor(2.8) + 1
-    assert unit_to_cell(1.0, 8) == 8   # clamped top edge
-    with pytest.raises(DomainError):
-        unit_to_cell(1.2, 8)
-    with pytest.raises(ContractError):
-        unit_to_cell(0.5, 0)
-
-
 @given(st.integers(0, SCALE - 1), st.integers(1, 64))
 def test_fixed_cell_index_in_range(raw, n):
     # the exact integer form used by the keystream: floor(n * x) + 1
@@ -163,7 +164,7 @@ def test_fixed_cell_index_agrees_with_float_on_exact_values():
     for n in (1, 2, 7, 8, 64):
         for raw in (0, 1 << 62, 1 << 63, 3 << 62, SCALE - (1 << 12)):
             k = (n * raw >> 64) + 1
-            assert k == unit_to_cell(raw / SCALE, n)
+            assert k == int(n * (raw / SCALE)) + 1
 
 
 # --- keyed strategy -----------------------------------------------------------
@@ -217,12 +218,14 @@ def test_ciis_zero_iterate_yields_cell_one():
     assert ciis_strategy(km, 4).prefix(4) == (1, 1, 1, 1)
 
 
-def test_ciis_lazy_mode_matches_finite():
-    km = _km()
-    lazy = ciis_strategy(km, None)
-    fin = ciis_strategy(km, 9)
-    assert lazy.prefix(9) == fin.prefix(9)
-    assert lazy.kind == "generator" and fin.kind == "finite"
+def test_strategies_need_a_bounded_budget():
+    for n_iter in (None, 0, -1, 2.0):
+        with pytest.raises(ContractError):
+            ciis_strategy(_km(), n_iter)
+        with pytest.raises(ContractError):
+            cids_strategy(BitState.zeros(3), n_iter)
+    fin = ciis_strategy(_km(), 9)
+    assert fin.kind == "finite" and fin.length == 9
 
 
 def test_ciis_independent_of_anything_but_km():
@@ -245,7 +248,8 @@ def test_cids_examples():
 def test_cids_rule_everywhere(bits):
     cover = BitState.from_bits(bits)
     n = cover.n_cells
-    s = cids_strategy(cover, None)
+    s = cids_strategy(cover, 2 * n + 3)
+    assert s.length == 2 * n + 3
     for i in range(2 * n + 3):
         k = i + 1
         want = k if k <= n and bits[k - 1] == 1 else 1
