@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import ContractError, IterationBudgetError
 
 __all__ = [
@@ -38,6 +40,12 @@ __all__ = [
 
 DEFAULT_DEPTH = 16
 """Default number of strategy terms compared by the truncated metric."""
+
+_SHORT_FOLD = 64
+"""Longest prefix the negation fold toggles term by term.  Up to here the
+loop beat the vectorised count, which pays about 9 us of fixed numpy cost
+per call on a 2-vCPU x86 host, at every cell count measured (4 to 262,144).
+The chaos probes fold 2-15 terms per call; the hiding pipeline thousands."""
 
 
 @dataclass(frozen=True)
@@ -291,9 +299,10 @@ def iterate(f: IterationFunction, initial: BitState, strategy: Strategy,
 
     For :func:`vector_negation` the fold collapses to XOR-ing the start
     state with the parity mask of the selected cells (updating a cell to
-    its negation is a plain toggle), which keeps large budgets cheap.  The
-    shortcut is semantically identical to the generic fold and the test
-    suite holds the two routes equal.
+    its negation is a plain toggle).  Past a short prefix the mask is the
+    per-cell term count mod 2, counted in one vectorised pass, which keeps
+    large budgets cheap.  The shortcut is semantically identical to the
+    generic fold and the test suite holds the two routes equal.
     """
     if not isinstance(n_iter, int) or n_iter < 0:
         raise ContractError(f"n_iter must be a non-negative integer, got {n_iter!r}")
@@ -302,10 +311,18 @@ def iterate(f: IterationFunction, initial: BitState, strategy: Strategy,
             f"strategy is over {strategy.n_cells} cells, state has {initial.n_cells}"
         )
     if f is vector_negation:
-        mask = 0
-        for t in strategy.prefix(n_iter):
-            mask ^= 1 << (t - 1)
-        return BitState(initial.value ^ mask, initial.n_cells)
+        n = initial.n_cells
+        terms = strategy.prefix(n_iter)
+        if n_iter <= _SHORT_FOLD:
+            mask = 0
+            for t in terms:
+                mask ^= 1 << (t - 1)
+        else:
+            counts = np.bincount(np.fromiter(terms, dtype=np.intp, count=n_iter) - 1,
+                                 minlength=n)
+            mask = int.from_bytes(
+                np.packbits(counts & 1, bitorder="little").tobytes(), "little")
+        return BitState(initial.value ^ mask, n)
     state = initial
     for t in strategy.prefix(n_iter):
         state = apply_component(f, t, state)

@@ -3,8 +3,8 @@
 Embedding extracts the cover's LSC plane, runs the iteration system on it
 under the configured strategy mode for ``n_iter`` steps with the negation
 update map, and injects the final state back.  Detection is non-blind: it
-recomputes the embedding from the original and compares LSC planes, which
-is plumbing on top of the scheme, not part of it.
+recomputes the marked plane from the original and compares LSC planes,
+which is plumbing on top of the scheme, not part of it.
 """
 
 from __future__ import annotations
@@ -62,32 +62,36 @@ def _strategy_for(config: EmbeddingConfig, cover_state: BitState) -> Strategy:
     return cids_strategy(cover_state, config.n_iter)
 
 
+def _marked_plane(x: BitState, config: EmbeddingConfig) -> BitState:
+    """The cover plane ``x`` after ``n_iter`` negation steps under the strategy."""
+    return iterate(vector_negation, x, _strategy_for(config, x), config.n_iter)
+
+
 def embed(cover: CoverMedia, config: EmbeddingConfig) -> CoverMedia:
     """Replace the cover's LSC plane by its image under the iteration system.
 
     Deterministic in (cover, config); bytes outside the LSC plane are
     untouched, and for the keyed mode the strategy itself never depends on
-    the cover, so non-LSC edits cannot change the embedded plane.
+    the cover, so non-LSC edits cannot change the embedded plane.  A PGM
+    pixel at an even ``maxval`` that would need its LSB set raises
+    :class:`DomainError`.
     """
-    x = extract_lscs(cover)
-    strategy = _strategy_for(config, x)
-    y = iterate(vector_negation, x, strategy, config.n_iter)
-    return inject_lscs(cover, y)
+    return inject_lscs(cover, _marked_plane(extract_lscs(cover), config))
 
 
 def detect_nonblind(original: CoverMedia, suspect: CoverMedia,
                     config: EmbeddingConfig) -> DetectionResult:
-    """Recompute the embedding from ``original`` and compare LSC planes."""
+    """Recompute the marked plane from ``original`` and compare LSC planes."""
     same_shape = (
         original.kind == suspect.kind
         and len(original.payload) == len(suspect.payload)
-        and tuple(original.lsc_map) == tuple(suspect.lsc_map)
+        and original.lsc_map == suspect.lsc_map
         and (original.width, original.height, original.maxval)
         == (suspect.width, suspect.height, suspect.maxval)
     )
     if not same_shape:
         raise ContractError("original and suspect covers differ in shape")
-    expected = extract_lscs(embed(original, config))
+    expected = _marked_plane(extract_lscs(original), config)
     observed = extract_lscs(suspect)
     d = state_distance(expected, observed)
     return DetectionResult(match=(d == 0), distance=d, n_cells=expected.n_cells)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import BitState
-from .errors import ContractError, ParseError
+from .errors import ContractError, DomainError, ParseError
 
 __all__ = [
     "CoverMedia",
@@ -35,7 +35,8 @@ class CoverMedia:
     """A byte payload plus the offsets carrying its LSC plane.
 
     ``lsc_map`` positions must be strictly increasing and inside the
-    payload; cell i of the extracted state comes from position i.  For
+    payload; cell i of the extracted state comes from position i.  A
+    contiguous map is held as a ``range``, so equal maps compare equal.  For
     PGM covers the map covers exactly the pixel bytes in row-major order,
     starting at ``pixel_offset``.
     """
@@ -65,6 +66,8 @@ class CoverMedia:
                 if b <= a:
                     raise ContractError("lsc_map positions must be strictly increasing")
             lo, hi = self.lsc_map[0], self.lsc_map[-1]
+            if hi - lo == len(self.lsc_map) - 1:  # contiguous: held as a range
+                object.__setattr__(self, "lsc_map", range(lo, hi + 1))
         if lo < 0 or hi >= len(self.payload):
             raise ContractError("lsc_map positions fall outside the payload")
         if self.kind == "pgm":
@@ -105,10 +108,18 @@ def raw_cover(payload: bytes, start: int = 0, count: int | None = None) -> Cover
     return CoverMedia(payload=payload, kind="raw", lsc_map=range(start, start + count))
 
 
+def _lsc_index(cover: CoverMedia) -> slice | np.ndarray:
+    """Index of the mapped bytes: a slice for a range map, else an array."""
+    m = cover.lsc_map
+    if isinstance(m, range):
+        return slice(m.start, m.stop)
+    return np.asarray(m, dtype=np.intp)
+
+
 def extract_lscs(cover: CoverMedia) -> BitState:
     """LSB of each mapped byte, as a state (cell i from position i)."""
     data = np.frombuffer(cover.payload, dtype=np.uint8)
-    bits = data[np.asarray(cover.lsc_map, dtype=np.intp)] & 1
+    bits = data[_lsc_index(cover)] & 1
     packed = np.packbits(bits, bitorder="little").tobytes()
     return BitState(int.from_bytes(packed, "little"), int(bits.size))
 
@@ -118,19 +129,29 @@ def inject_lscs(cover: CoverMedia, state: BitState) -> CoverMedia:
 
     Everything outside those bits is byte-identical to the input, so
     ``extract_lscs(inject_lscs(c, s)) == s`` and per-byte change is <= 1.
+    A PGM pixel equal to an even ``maxval`` cannot take a set LSB; writing
+    one raises :class:`DomainError` rather than produce an invalid image.
     """
     if state.n_cells != cover.n_cells:
         raise ContractError(
             f"state has {state.n_cells} cells, cover maps {cover.n_cells} positions"
         )
     arr = np.frombuffer(cover.payload, dtype=np.uint8).copy()
-    idx = np.asarray(cover.lsc_map, dtype=np.intp)
+    idx = _lsc_index(cover)
     nbytes = (state.n_cells + 7) // 8
     bits = np.unpackbits(
         np.frombuffer(state.value.to_bytes(nbytes, "little"), dtype=np.uint8),
         bitorder="little", count=state.n_cells,
     )
-    arr[idx] = (arr[idx] & 0xFE) | bits
+    marked = (arr[idx] & 0xFE) | bits
+    if cover.kind == "pgm" and cover.maxval % 2 == 0:
+        over = np.flatnonzero(marked > cover.maxval)
+        if over.size:
+            raise DomainError(
+                f"pixel {int(over[0])} would become {int(marked[over[0]])}, "
+                f"above maxval {cover.maxval}; this cover cannot carry that plane"
+            )
+    arr[idx] = marked
     return replace(cover, payload=arr.tobytes())
 
 

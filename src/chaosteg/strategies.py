@@ -71,21 +71,19 @@ def plcm_eval(x: Fixed64, params: PlcmParams) -> Fixed64:
     """
     if not isinstance(x, Fixed64):
         raise ContractError(f"map input must be a Fixed64, got {x!r}")
-    return _plcm_fixed(x, params)
+    pr = params.p_fixed.raw
+    return Fixed64(_plcm_step(x.raw, pr, _HALF - pr))
 
 
-def _plcm_fixed(x: Fixed64, params: PlcmParams) -> Fixed64:
-    xr = x.raw
+def _plcm_step(xr: int, pr: int, qr: int) -> int:
+    """One map step on raw 64-bit fractions: ``pr`` is p, ``qr`` is 1/2 - p."""
     if xr > _HALF:
         xr = SCALE - xr
-    pr = params.p_fixed.raw
     if xr < pr:
         raw = rne_div(xr << FRACTION_BITS, pr)
     else:
-        raw = rne_div((xr - pr) << FRACTION_BITS, _HALF - pr)
-    if raw == SCALE:
-        raw = 0
-    return Fixed64(raw)
+        raw = rne_div((xr - pr) << FRACTION_BITS, qr)
+    return 0 if raw == SCALE else raw
 
 
 def xor_mix(message, key) -> Fixed64:
@@ -144,17 +142,20 @@ def ciis_strategy(km: KeyMaterial, n_iter: int) -> Strategy:
     of them are discarded.  The cell index is computed exactly in integer
     arithmetic from the 64-bit iterate, so the output is bit-reproducible
     and never depends on any cover content.  The ``n_iter`` terms are
-    computed in one keystream pass.
+    computed in one keystream pass over raw integers, with p and 1/2 - p
+    quantized once per call.
     """
     _check_budget(n_iter)
     n = km.n_cells
-    k = xor_mix(km.message, km.key)
+    pr = km.params.p_fixed.raw
+    qr = _HALF - pr
+    k = xor_mix(km.message, km.key).raw
     for _ in range(km.burn_in):
-        k = _plcm_fixed(k, km.params)
-    terms = [(n * k.raw >> FRACTION_BITS) + 1]
+        k = _plcm_step(k, pr, qr)
+    terms = [(n * k >> FRACTION_BITS) + 1]
     for _ in range(n_iter - 1):
-        k = _plcm_fixed(k, km.params)
-        terms.append((n * k.raw >> FRACTION_BITS) + 1)
+        k = _plcm_step(k, pr, qr)
+        terms.append((n * k >> FRACTION_BITS) + 1)
     return Strategy.finite(terms, n)
 
 

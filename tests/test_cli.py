@@ -93,6 +93,17 @@ def test_embed_corrupt_pgm_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_embed_pixel_above_even_maxval_exit_2(tmp_path, capsys):
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(b"P5 2 1 254\n" + bytes([254, 10]))
+    out = tmp_path / "o.pgm"
+    code, _, err = run(["embed", "--in", str(cover), "--out", str(out),
+                        "--mode", "cids", "--n-iter", "1"], capsys)
+    assert code == 2
+    assert "maxval 254" in err
+    assert not out.exists()
+
+
 def test_embed_missing_input_exit_2(tmp_path, capsys):
     code, _, err = run(["embed", "--in", str(tmp_path / "absent.pgm"),
                         "--out", str(tmp_path / "o.pgm"), "--mode", "cids"], capsys)

@@ -199,6 +199,21 @@ def test_iterate_matches_naive_replay(data):
 
 
 @given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_iterate_matches_naive_replay_at_scale(data):
+    # cell counts off the byte grid and prefixes on both sides of the
+    # short-fold cutoff, drawn from a small pool so that cells repeat
+    n = data.draw(st.integers(1, 70))
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    pool = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+    length = data.draw(st.integers(0, 300))
+    terms = data.draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    start = BitState(v, n)
+    fast = iterate(vector_negation, start, Strategy.finite(terms, n), len(terms))
+    assert fast == naive_iterate(vector_negation, start, terms)
+
+
+@given(st.data())
 def test_iterate_fast_path_equals_generic_fold(data):
     # the negation shortcut must agree with folding apply_component
     n = data.draw(st.integers(1, 5))

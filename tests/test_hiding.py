@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from chaosteg.dynamics import BitState, state_distance
-from chaosteg.errors import ContractError
+from chaosteg.errors import ContractError, DomainError
 from chaosteg.fixedpoint import Fixed64
 from chaosteg.hiding import DetectionResult, EmbeddingConfig, detect_nonblind, embed
-from chaosteg.media import extract_lscs, inject_lscs, load_pgm, raw_cover
-from chaosteg.strategies import KeyMaterial, PlcmParams, ciis_strategy
+from chaosteg.media import CoverMedia, extract_lscs, inject_lscs, load_pgm, raw_cover, save_pgm
+from chaosteg.strategies import DEFAULT_BURN_IN, KeyMaterial, PlcmParams, ciis_strategy
 
 from conftest import naive_iterate, rational_keystream
 
@@ -72,6 +72,44 @@ def test_embed_cids_exhaustive_two_outputs():
             out = embed(raw_cover(payload), cfg)
             reached.add(extract_lscs(out).value)
         assert reached == {0, 1}
+
+
+def test_embedded_plane_is_cover_xor_oracle_parity_at_512x512():
+    side, n_iter = 512, 4096
+    n = side * side
+    rng = np.random.default_rng(29)
+    pixels = rng.integers(0, 256, size=n, dtype=np.uint8)
+    cover = load_pgm(f"P5\n{side} {side}\n255\n".encode() + pixels.tobytes())
+    km = KeyMaterial(key=Fixed64(0x9E3779B97F4A7C15), message=Fixed64(0x0123456789ABCDEF),
+                     params=PlcmParams(0.3), n_cells=n, burn_in=DEFAULT_BURN_IN)
+    marked = embed(cover, EmbeddingConfig(key_material=km, n_iter=n_iter,
+                                          strategy_mode="ciis"))
+    terms = rational_keystream(km.key.raw, km.message.raw, km.params.p_fixed.raw,
+                               DEFAULT_BURN_IN, n, n_iter)
+    parity = np.bincount(np.array(terms) - 1, minlength=n) & 1
+    out = np.frombuffer(marked.payload, dtype=np.uint8, offset=marked.pixel_offset)
+    assert np.array_equal(out & 1, (pixels & 1) ^ parity)
+    assert np.array_equal(out & 0xFE, pixels & 0xFE)
+
+
+def test_embed_refuses_a_pixel_above_an_even_maxval():
+    # pixel 254 under maxval 254 would need its LSB set: 255 is not a valid sample
+    cover = load_pgm(b"P5\n2 1\n254\n" + bytes([254, 10]))
+    cids = EmbeddingConfig(key_material=None, n_iter=1, strategy_mode="cids")
+    with pytest.raises(DomainError):
+        embed(cover, cids)
+    # a plane that keeps that LSB clear still embeds and reloads
+    two_flips = EmbeddingConfig(key_material=None, n_iter=2, strategy_mode="cids")
+    marked = embed(cover, two_flips)
+    assert load_pgm(save_pgm(marked)).payload[-2:] == bytes([254, 10])
+
+
+def test_detect_accepts_one_map_given_two_ways():
+    payload = bytes(range(40))
+    by_range = raw_cover(payload, start=4, count=32)
+    by_tuple = CoverMedia(payload=payload, kind="raw", lsc_map=tuple(range(4, 36)))
+    cfg = ciis_config(32, 64)
+    assert detect_nonblind(by_range, embed(by_tuple, cfg), cfg).match
 
 
 def test_embed_key_material_cover_size_mismatch():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,50 @@ def test_ciis_matches_rational_oracle(key_raw, msg_raw, p, n_cells, burn_in):
     want = rational_keystream(key_raw, msg_raw, km.params.p_fixed.raw,
                               burn_in, n_cells, 12)
     assert list(got) == want
+
+
+@pytest.mark.parametrize(("key_raw", "msg_raw", "p"), [
+    (1 << 63, 0, 0.3),    # seed x = 1/2: F wraps it to 0 on the first step
+    (1 << 63, 0, 0.25),
+    (0x9E3779B97F4A7C15, 0x0123456789ABCDEF, 0.25),
+    (0x9E3779B97F4A7C15, 0x0123456789ABCDEF, 0.375),
+])
+def test_ciis_matches_rational_oracle_at_the_seams(key_raw, msg_raw, p):
+    km = KeyMaterial(key=Fixed64(key_raw), message=Fixed64(msg_raw),
+                     params=PlcmParams(p), n_cells=1000)
+    got = ciis_strategy(km, 300).prefix(300)
+    want = rational_keystream(key_raw, msg_raw, km.params.p_fixed.raw,
+                              DEFAULT_BURN_IN, 1000, 300)
+    assert list(got) == want
+
+
+def test_keystream_builds_no_fixed64_per_step(monkeypatch):
+    # a wall-clock-free guard: per-step Fixed64 work would make the counts
+    # grow with the number of terms
+    km = _km(p=0.3)
+    calls = Counter()
+    post_init = Fixed64.__post_init__
+    from_float = Fixed64.__dict__["from_float"].__func__
+
+    def counted_post_init(self):
+        calls["constructed"] += 1
+        post_init(self)
+
+    def counted_from_float(cls, x):
+        calls["from_float"] += 1
+        return from_float(cls, x)
+
+    monkeypatch.setattr(Fixed64, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Fixed64, "from_float", classmethod(counted_from_float))
+
+    def counts_for(n_iter):
+        calls.clear()
+        ciis_strategy(km, n_iter)
+        return dict(calls)
+
+    short, long = counts_for(10), counts_for(10_000)
+    assert short == long
+    assert short["from_float"] == 1  # p is quantized once per keystream
 
 
 def test_ciis_zero_iterate_yields_cell_one():
