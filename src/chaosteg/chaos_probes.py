@@ -15,7 +15,11 @@ negation update the state difference after n steps is the initial
 difference XOR the parity masks of the two consumed prefixes, independent
 of the absolute states.  Pairs are therefore classified by (strategy A,
 strategy B, state difference D), and each class stands for every concrete
-state pair with that difference.
+state pair with that difference.  The metric's integer part is the Hamming
+distance between states, so every class with D != 0 already sits at
+distance >= popcount(D) >= 1 at n = 0; only the equal-state classes are
+swept.  The same fact builds the continuations of mixing and regularity:
+flipping each cell set in a difference once moves a state by exactly it.
 """
 
 from __future__ import annotations
@@ -90,20 +94,25 @@ def _primitive_patterns(n_cells: int, max_period: int) -> list[tuple[int, ...]]:
     return pats
 
 
+def _separation(a: SystemPoint, b: SystemPoint, horizon: int,
+                depth: int) -> tuple[int, float]:
+    """Step both points ``horizon`` times; first iterate at the largest distance."""
+    best_n, best_d = 0, point_distance(a, b, depth).value
+    for n in range(1, horizon + 1):
+        a = step(vector_negation, a)
+        b = step(vector_negation, b)
+        d = point_distance(a, b, depth).value
+        if d > best_d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
 def _pair_witness(strat_a: Strategy, strat_b: Strategy, diff: int, n_cells: int,
                   horizon: int, depth: int) -> ChaosWitness:
     """Replay a pair class through the scalar pipeline, keep its best iterate."""
     a = SystemPoint(strat_a, BitState.zeros(n_cells))
     b = SystemPoint(strat_b, BitState(diff, n_cells))
-    best_n, best_d = 0, point_distance(a, b, depth).value
-    x, y = a, b
-    for n in range(1, horizon + 1):
-        x = step(vector_negation, x)
-        y = step(vector_negation, y)
-        d = point_distance(x, y, depth).value
-        if d > best_d:
-            best_n, best_d = n, d
-    return ChaosWitness(a, b, best_n, best_d)
+    return ChaosWitness(a, b, *_separation(a, b, horizon, depth))
 
 
 def expansivity_probe(n_cells: int, horizon: int, max_period: int = 4,
@@ -120,9 +129,12 @@ def expansivity_probe(n_cells: int, horizon: int, max_period: int = 4,
     separate before its strategies first differ.
 
     Reports the infimum over pair classes of the best separation achieved
-    within the horizon: 1 is expected, carried by pairs whose states
-    differ in one cell under one shared strategy.  Pairs with equal states
-    separate to at least 2 and their own infimum is reported alongside.
+    within the horizon.  Classes whose states differ are settled by the
+    metric's integer part: they start at distance >= 1, and the one-cell
+    difference under one shared strategy stays at exactly 1.  Only the
+    equal-state classes are swept; they separate to at least 2 and their
+    own infimum is reported alongside.  So the infimum is
+    min(1, equal-state infimum), and its witness is replayed like the rest.
     """
     if not isinstance(n_cells, int) or not 1 <= n_cells <= 5:
         raise ContractError(f"n_cells must be an integer in 1..5, got {n_cells!r}")
@@ -163,46 +175,32 @@ def expansivity_probe(n_cells: int, horizon: int, max_period: int = 4,
             sampled += 1
 
     S = len(family)
-    T = np.array(rows, dtype=np.int64)
+    # classes whose states differ start at distance >= popcount(D) >= 1, and
+    # the one-cell difference under one shared strategy stays at exactly 1
+    infimum = 1.0
+    witness = _pair_witness(family[0], family[0], 1, n_cells, horizon, depth)
+    eq_infimum = eq_witness = None
+    if S > 1:
+        T = np.array(rows, dtype=np.int64)
+        masks = np.zeros((S, horizon + 1), dtype=np.uint8)
+        for j in range(horizon):
+            masks[:, j + 1] = masks[:, j] ^ (1 << (T[:, j] - 1)).astype(np.uint8)
 
-    masks = np.zeros((S, horizon + 1), dtype=np.uint8)
-    for j in range(horizon):
-        masks[:, j + 1] = masks[:, j] ^ (1 << (T[:, j] - 1)).astype(np.uint8)
+        weights = np.array([9.0 / n_cells * 10.0 ** -(k + 1) for k in range(depth)])
+        DS = np.empty((S, S, horizon + 1))
+        for n in range(horizon + 1):
+            win = T[:, n:n + depth].astype(np.float64)
+            DS[:, :, n] = np.abs(win[:, None, :] - win[None, :, :]).dot(weights)
 
-    weights = np.array([9.0 / n_cells * 10.0 ** -(k + 1) for k in range(depth)])
-    DS = np.empty((S, S, horizon + 1))
-    for n in range(horizon + 1):
-        win = T[:, n:n + depth].astype(np.float64)
-        DS[:, :, n] = np.abs(win[:, None, :] - win[None, :, :]).dot(weights)
-
-    pop = np.array([bin(v).count("1") for v in range(1 << n_cells)], dtype=np.float64)
-    m_pair = masks[:, None, :] ^ masks[None, :, :]
-    eye = np.eye(S, dtype=bool)
-
-    best: tuple[float, int, int, int] | None = None
-    best_eq: tuple[float, int, int] | None = None
-    for diff in range(1 << n_cells):
-        sep = (pop[m_pair ^ diff] + DS).max(axis=2)
-        if diff == 0:
-            if S < 2:
-                continue
-            masked = np.where(eye, np.inf, sep)
-        else:
-            masked = sep
-        a, b = np.unravel_index(np.argmin(masked), masked.shape)
-        m = float(masked[a, b])
-        if best is None or m < best[0]:
-            best = (m, diff, int(a), int(b))
-        if diff == 0 and (best_eq is None or m < best_eq[0]):
-            best_eq = (m, int(a), int(b))
-
-    pair_classes = S * S * (1 << n_cells) - S
-    witness = _pair_witness(family[best[2]], family[best[3]], best[1],
-                            n_cells, horizon, depth)
-    eq_witness = None
-    if best_eq is not None:
-        eq_witness = _pair_witness(family[best_eq[1]], family[best_eq[2]], 0,
-                                   n_cells, horizon, depth)
+        pop = np.array([bin(v).count("1") for v in range(1 << n_cells)], dtype=np.float64)
+        m_pair = masks[:, None, :] ^ masks[None, :, :]
+        sep = (pop[m_pair] + DS).max(axis=2)
+        np.fill_diagonal(sep, np.inf)
+        a, b = np.unravel_index(np.argmin(sep), sep.shape)
+        eq_infimum = float(sep[a, b])
+        eq_witness = _pair_witness(family[a], family[b], 0, n_cells, horizon, depth)
+        if eq_infimum <= 1.0:
+            infimum, witness = eq_infimum, eq_witness
 
     return {
         "check": "expansivity",
@@ -216,13 +214,27 @@ def expansivity_probe(n_cells: int, horizon: int, max_period: int = 4,
         "depth": depth,
         "family_size": S,
         "family_rule": f"pairwise distinct first {horizon} terms",
-        "pair_classes": pair_classes,
-        "infimum": best[0],
-        "equal_state_infimum": None if best_eq is None else best_eq[0],
+        "pair_classes": S * S * (1 << n_cells) - S,
+        "infimum": infimum,
+        "equal_state_infimum": eq_infimum,
         "witness": witness,
         "equal_state_witness": eq_witness,
-        "pass": bool(best[0] >= 1.0),
+        "pass": bool(infimum >= 1.0),
     }
+
+
+def _balls(n_cells: int, prefix_len: int):
+    """Every prefix ball as (start state, fixed prefix, state after the prefix)."""
+    for value in range(1 << n_cells):
+        start = BitState(value, n_cells)
+        for prefix in itertools.product(range(1, n_cells + 1), repeat=prefix_len):
+            yield start, prefix, iterate(vector_negation, start,
+                                         Strategy.finite(prefix, n_cells), prefix_len)
+
+
+def _flip_segment(d: int, n_cells: int) -> tuple[int, ...]:
+    """The cells set in ``d``, in order: flipping each once XORs a state by ``d``."""
+    return tuple(k for k in range(1, n_cells + 1) if (d >> (k - 1)) & 1)
 
 
 def mixing_probe(n_cells: int, prefix_len: int) -> dict:
@@ -244,31 +256,25 @@ def mixing_probe(n_cells: int, prefix_len: int) -> dict:
     max_horizon = -1
     example = None
     all_reached = True
-    for value in range(size):
-        start = BitState(value, n_cells)
-        for prefix in itertools.product(range(1, n_cells + 1), repeat=prefix_len):
-            balls += 1
-            mid = iterate(vector_negation, start,
-                          Strategy.finite(prefix, n_cells), prefix_len)
-            for target in range(size):
-                d = mid.value ^ target
-                segment = tuple(k for k in range(1, n_cells + 1) if (d >> (k - 1)) & 1)
-                reached = iterate(vector_negation, start,
-                                  Strategy.finite(prefix + segment, n_cells),
-                                  prefix_len + len(segment))
-                if reached.value != target:
-                    all_reached = False
-                    continue
-                h = prefix_len + len(segment)
-                if h > max_horizon:
-                    max_horizon = h
-                    example = {
-                        "state": start.to_bitstring(),
-                        "prefix": list(prefix),
-                        "target": BitState(target, n_cells).to_bitstring(),
-                        "segment": list(segment),
-                        "reached_at": h,
-                    }
+    for start, prefix, mid in _balls(n_cells, prefix_len):
+        balls += 1
+        for target in range(size):
+            segment = _flip_segment(mid.value ^ target, n_cells)
+            h = prefix_len + len(segment)
+            reached = iterate(vector_negation, start,
+                              Strategy.finite(prefix + segment, n_cells), h)
+            if reached.value != target:
+                all_reached = False
+                continue
+            if h > max_horizon:
+                max_horizon = h
+                example = {
+                    "state": start.to_bitstring(),
+                    "prefix": list(prefix),
+                    "target": BitState(target, n_cells).to_bitstring(),
+                    "segment": list(segment),
+                    "reached_at": h,
+                }
     return {
         "check": "mixing",
         "method": "difference-cell segments from every prefix ball, verified by iteration",
@@ -311,14 +317,8 @@ def sensitivity_probe(n_cells: int, trials: int, horizon: int, seed: int,
                                         n_cells), state)
         y = SystemPoint(Strategy.finite(shared + [head_b] + [int(v) for v in tails[1]],
                                         n_cells), state)
-        d = point_distance(x, y, depth).value
-        initial.append(d)
-        best = d
-        for _n in range(horizon):
-            x = step(vector_negation, x)
-            y = step(vector_negation, y)
-            best = max(best, point_distance(x, y, depth).value)
-        separations.append(best)
+        initial.append(point_distance(x, y, depth).value)
+        separations.append(_separation(x, y, horizon, depth)[1])
     return {
         "check": "sensitivity",
         "method": "sampled nearby pairs, max point distance over the horizon",
@@ -359,39 +359,33 @@ def regularity_probe(n_cells: int, epsilon: float, depth: int = DEFAULT_DEPTH) -
             f"epsilon {epsilon!r} needs {prefix_len} agreed terms, "
             f"beyond the metric truncation depth {depth}"
         )
-    size = 1 << n_cells
     balls = 0
     max_period = 0
     max_center_distance = 0.0
     all_ok = True
-    for value in range(size):
-        state = BitState(value, n_cells)
-        for prefix in itertools.product(range(1, n_cells + 1), repeat=prefix_len):
-            balls += 1
-            mid = iterate(vector_negation, state,
-                          Strategy.finite(prefix, n_cells), prefix_len)
-            d = mid.value ^ value
-            segment = tuple(k for k in range(1, n_cells + 1) if (d >> (k - 1)) & 1)
-            pattern = prefix + segment or (1, 1)
-            period = len(pattern)
-            candidate = SystemPoint(Strategy.periodic(pattern, n_cells), state)
+    for state, prefix, mid in _balls(n_cells, prefix_len):
+        balls += 1
+        segment = _flip_segment(mid.value ^ state.value, n_cells)
+        pattern = prefix + segment or (1, 1)
+        period = len(pattern)
+        candidate = SystemPoint(Strategy.periodic(pattern, n_cells), state)
 
-            p = candidate
-            for _ in range(period):
-                p = step(vector_negation, p)
-            periodic_ok = p == candidate
+        p = candidate
+        for _ in range(period):
+            p = step(vector_negation, p)
+        periodic_ok = p == candidate
 
-            adv = list(prefix) + [
-                _farthest(candidate.strategy.term(j), n_cells)
-                for j in range(prefix_len, depth)
-            ]
-            center = SystemPoint(Strategy.finite(adv, n_cells), state)
-            dist = point_distance(center, candidate, depth)
-            worst = dist.value + dist.error_bound
-            max_center_distance = max(max_center_distance, worst)
-            max_period = max(max_period, period)
-            if not (periodic_ok and worst < epsilon):
-                all_ok = False
+        adv = list(prefix) + [
+            _farthest(candidate.strategy.term(j), n_cells)
+            for j in range(prefix_len, depth)
+        ]
+        center = SystemPoint(Strategy.finite(adv, n_cells), state)
+        dist = point_distance(center, candidate, depth)
+        worst = dist.value + dist.error_bound
+        max_center_distance = max(max_center_distance, worst)
+        max_period = max(max_period, period)
+        if not (periodic_ok and worst < epsilon):
+            all_ok = False
     return {
         "check": "regularity",
         "method": "constructed periodic point per prefix ball, exact period check",

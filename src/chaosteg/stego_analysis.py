@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import BitState, iterate, vector_negation
+from .dynamics import BitState, Strategy, iterate, vector_negation
 from .errors import ContractError, UnderpoweredTestError
 from .fixedpoint import Fixed64
 from .strategies import KeyMaterial, PlcmParams, ciis_strategy, cids_strategy
@@ -107,51 +107,60 @@ def exact_distribution_step(dist: DistributionTable,
 
 
 def exact_pushforward(dist: DistributionTable, terms: Iterable[int]) -> DistributionTable:
-    """Push a distribution through a fixed term sequence (point-mass steps)."""
-    for t in terms:
-        q = np.zeros(dist.n_cells)
-        q[t - 1] = 1.0
-        dist = exact_distribution_step(dist, q)
-    return dist
+    """Push a distribution through a fixed term sequence (point-mass steps).
+
+    Each point-mass step is the bit-flip permutation of its cell, so the
+    whole run is one XOR permutation by the parity mask of the terms.
+    """
+    terms = tuple(terms)
+    mask = iterate(vector_negation, BitState.zeros(dist.n_cells),
+                   Strategy.finite(terms, dist.n_cells), len(terms)).value
+    return DistributionTable(dist.n_cells, dist.probs[np.arange(dist.probs.size) ^ mask])
 
 
-def _derive_km(n_cells: int, seed: int, tag: int, burn_in: int = 997) -> KeyMaterial:
-    """Reproducible key material for seeded verdicts."""
-    rng = np.random.default_rng([seed, tag])
-    key = Fixed64(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
-    message = Fixed64(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
-    p = float(0.05 + 0.4 * rng.random())
-    return KeyMaterial(key=key, message=message, params=PlcmParams(p),
-                       n_cells=n_cells, burn_in=burn_in)
+def _keyed_run(n_cells: int, cap: int, n_iter: int, sample_count: int, seed: int,
+               km: KeyMaterial | None, tag: int) -> tuple[tuple[int, ...], np.ndarray, dict]:
+    """One keyed run over uniform covers: terms, embedded histogram, report fields.
 
-
-def _chunk_sizes(sample_count: int) -> list[int]:
-    base, extra = divmod(sample_count, _MC_CHUNKS)
-    return [base + (1 if c < extra else 0) for c in range(_MC_CHUNKS)]
-
-
-def _sample_histogram(n_cells: int, sample_count: int, seed: int, mask: int) -> np.ndarray:
-    """Histogram of ``uniform cover XOR mask`` over a fixed 8-chunk layout."""
-    size = 1 << n_cells
-    counts = np.zeros(size, dtype=np.int64)
-    for c, chunk in enumerate(_chunk_sizes(sample_count)):
-        rng = np.random.default_rng([seed, c])
-        samples = rng.integers(0, size, size=chunk, dtype=np.int64)
-        counts += np.bincount(samples ^ mask, minlength=size)
-    return counts
-
-
-def _check_mc_bounds(n_cells: int, cap: int, n_iter: int, sample_count: int) -> None:
+    Key material defaults to a reproducible derivation from ``[seed, tag]``.
+    The histogram counts ``uniform cover XOR parity mask`` over the fixed
+    8-chunk layout, ``sample_count`` covers in all.
+    """
     if not isinstance(n_cells, int) or not 1 <= n_cells <= cap:
         raise ContractError(f"n_cells must be an integer in 1..{cap}, got {n_cells!r}")
     if not isinstance(n_iter, int) or n_iter < 1:
         raise ContractError(f"n_iter must be a positive integer, got {n_iter!r}")
-    floor = 10 * (1 << n_cells)
-    if sample_count < floor:
+    bins = 1 << n_cells
+    if sample_count < 10 * bins:
         raise UnderpoweredTestError(
-            f"{sample_count} samples over {1 << n_cells} bins; "
-            f"need at least {floor} for 10 expected counts per bin"
+            f"{sample_count} samples over {bins} bins; "
+            f"need at least {10 * bins} for 10 expected counts per bin"
         )
+    if km is None:
+        rng = np.random.default_rng([seed, tag])
+        key = Fixed64(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
+        message = Fixed64(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
+        km = KeyMaterial(key=key, message=message,
+                         params=PlcmParams(float(0.05 + 0.4 * rng.random())),
+                         n_cells=n_cells, burn_in=997)
+    strategy = ciis_strategy(km, n_iter)
+    mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
+    counts = np.zeros(bins, dtype=np.int64)
+    base, extra = divmod(sample_count, _MC_CHUNKS)
+    for c in range(_MC_CHUNKS):
+        rng = np.random.default_rng([seed, c])
+        samples = rng.integers(0, bins, size=base + (c < extra), dtype=np.int64)
+        counts += np.bincount(samples ^ mask, minlength=bins)
+    fields = {
+        "n_cells": n_cells,
+        "n_iter": n_iter,
+        "seed": seed,
+        "key": km.key.to_hex(),
+        "message": km.message.to_hex(),
+        "p": km.params.p,
+        "burn_in": km.burn_in,
+    }
+    return strategy.prefix(n_iter), counts, fields
 
 
 def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_000,
@@ -167,11 +176,7 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
 
     Key material defaults to a reproducible derivation from ``seed``.
     """
-    _check_mc_bounds(n_cells, 10, n_iter, sample_count)
-    if km is None:
-        km = _derive_km(n_cells, seed, tag=0x5EC0)
-    strategy = ciis_strategy(km, n_iter)
-    terms = strategy.prefix(n_iter)
+    terms, counts, fields = _keyed_run(n_cells, 10, n_iter, sample_count, seed, km, 0x5EC0)
 
     q_emp = np.bincount(np.asarray(terms) - 1, minlength=n_cells) / n_iter
     table = DistributionTable.uniform(n_cells)
@@ -180,8 +185,6 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
     deviation = float(np.max(np.abs(table.probs - 1.0 / (1 << n_cells))))
     exact_pass = deviation < EXACT_DEVIATION_TOLERANCE
 
-    mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
-    counts = _sample_histogram(n_cells, sample_count, seed, mask)
     bins = 1 << n_cells
     expected = sample_count / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -194,13 +197,7 @@ def verify_ciis_stego(n_cells: int, n_iter: int = 64, sample_count: int = 1_000_
     return {
         "check": "ciis_stego",
         "method": "exact push-forward fixed point + chi-square on embedded uniform covers",
-        "n_cells": n_cells,
-        "n_iter": n_iter,
-        "seed": seed,
-        "key": km.key.to_hex(),
-        "message": km.message.to_hex(),
-        "p": km.params.p,
-        "burn_in": km.burn_in,
+        **fields,
         "exact": {
             "max_deviation": deviation,
             "tolerance": EXACT_DEVIATION_TOLERANCE,
@@ -231,15 +228,9 @@ def mc_exact_agreement(n_cells: int = 4, n_iter: int = 64, sample_count: int = 1
     desk-scale runs stay meaningful and the canonical configuration
     (n_cells=4, one million samples) is judged at 0.01 itself.
     """
-    _check_mc_bounds(n_cells, _MAX_TABLE_CELLS, n_iter, sample_count)
-    if km is None:
-        km = _derive_km(n_cells, seed, tag=0xA6EE)
-    strategy = ciis_strategy(km, n_iter)
-    terms = strategy.prefix(n_iter)
-
+    terms, counts, fields = _keyed_run(n_cells, _MAX_TABLE_CELLS, n_iter, sample_count,
+                                       seed, km, 0xA6EE)
     exact = exact_pushforward(DistributionTable.uniform(n_cells), terms)
-    mask = iterate(vector_negation, BitState.zeros(n_cells), strategy, n_iter).value
-    counts = _sample_histogram(n_cells, sample_count, seed, mask)
     empirical = counts / sample_count
     tv = 0.5 * float(np.abs(empirical - exact.probs).sum())
     bins = 1 << n_cells
@@ -248,13 +239,7 @@ def mc_exact_agreement(n_cells: int = 4, n_iter: int = 64, sample_count: int = 1
     return {
         "check": "mc_exact_agreement",
         "method": "total variation between embedded-cover histogram and exact push-forward",
-        "n_cells": n_cells,
-        "n_iter": n_iter,
-        "seed": seed,
-        "key": km.key.to_hex(),
-        "message": km.message.to_hex(),
-        "p": km.params.p,
-        "burn_in": km.burn_in,
+        **fields,
         "sample_count": sample_count,
         "bins": bins,
         "total_variation": tv,

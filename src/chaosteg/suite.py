@@ -64,6 +64,9 @@ def run_suite(suite: str, n_cells: int, seed: int,
         )
     if not isinstance(seed, int) or seed < 0:
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, budget in (("sample_count", sample_count), ("n_iter", n_iter)):
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise ContractError(f"{name} must be a positive integer, got {budget!r}")
 
     verdicts: dict = {}
     if suite in ("full", "stego"):

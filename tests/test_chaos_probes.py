@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from chaosteg.chaos_probes import (
@@ -77,6 +78,61 @@ def test_expansivity_probe_matches_direct_iteration_spot_checks():
         a, b = step(vector_negation, a), step(vector_negation, b)
     assert max(seen) == pytest.approx(w.achieved_distance)
     assert seen[w.iterate_index] == pytest.approx(w.achieved_distance)
+
+
+def _expansivity_family(n, horizon, max_period, prefix_samples, seed, depth=16):
+    """The probe's family, rebuilt: primitive periodic patterns, then sampled prefixes."""
+    family, seen = [], set()
+    for length in range(1, max_period + 1):
+        for pat in itertools.product(range(1, n + 1), repeat=length):
+            if all(pat != pat[:p] * (length // p) for p in range(1, length) if length % p == 0):
+                family.append(Strategy.periodic(pat, n))
+                seen.add(family[-1].prefix(horizon))
+    rng = np.random.default_rng([seed, 0xE8A])
+    for _ in range(prefix_samples):
+        terms = tuple(int(v) for v in rng.integers(1, n + 1, size=horizon + depth))
+        while terms[:horizon] in seen:
+            terms = tuple(int(v) for v in rng.integers(1, n + 1, size=horizon + depth))
+        seen.add(terms[:horizon])
+        family.append(Strategy.finite(terms, n))
+    return family
+
+
+@pytest.mark.parametrize(("n", "seed"), [(2, 0), (2, 3), (3, 1), (3, 2)])
+def test_expansivity_probe_matches_brute_force_over_every_class(n, seed):
+    # every (strategy pair, state difference) class scanned through step and
+    # point_distance, first strict minimum kept in the probe's class order
+    horizon, samples = 6, 3
+    family = _expansivity_family(n, horizon, 2, samples, seed)
+    best = best_eq = None
+    for diff in range(1 << n):
+        for i, sa in enumerate(family):
+            for j, sb in enumerate(family):
+                if diff == 0 and i == j:
+                    continue
+                x = SystemPoint(sa, BitState.zeros(n))
+                y = SystemPoint(sb, BitState(diff, n))
+                dists = []
+                for _ in range(horizon + 1):
+                    dists.append(point_distance(x, y).value)
+                    x, y = step(vector_negation, x), step(vector_negation, y)
+                sep = max(dists)
+                found = (sep, sa, sb, diff, dists.index(sep))
+                if best is None or sep < best[0] - 1e-12:
+                    best = found
+                if diff == 0 and (best_eq is None or sep < best_eq[0] - 1e-12):
+                    best_eq = found
+
+    r = expansivity_probe(n, horizon, max_period=2, prefix_samples=samples, seed=seed)
+    assert r["family_size"] == len(family)
+    assert r["pair_classes"] == len(family) ** 2 * (1 << n) - len(family)
+    assert r["infimum"] == pytest.approx(best[0], abs=1e-12)
+    assert r["equal_state_infimum"] == pytest.approx(best_eq[0], abs=1e-12)
+    for w, (_, sa, sb, diff, index) in ((r["witness"], best),
+                                        (r["equal_state_witness"], best_eq)):
+        assert (w.point_a.strategy, w.point_b.strategy) == (sa, sb)
+        assert w.point_a.state.value ^ w.point_b.state.value == diff
+        assert w.iterate_index == index
 
 
 def test_expansivity_single_cell_family():

@@ -265,6 +265,15 @@ def test_analyze_over_cap_usage_error(capsys):
     assert "n_cells" in err
 
 
+def test_analyze_non_positive_budget_usage_error(capsys):
+    for flag in ("--sample-count", "--n-iter"):
+        code, out, err = run(["analyze", "--suite", "chaos", "--n-cells", "2",
+                              flag, "-5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
+
+
 def test_analyze_golden_report_regression(tmp_path, capsys):
     report = tmp_path / "golden.json"
     code, _, _ = run(["analyze", "--suite", "full", "--n-cells", "4", "--seed", "1",

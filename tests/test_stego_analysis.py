@@ -106,6 +106,35 @@ def test_pushforward_fixed_terms_tracks_iteration():
     assert out.probs[final.value] == pytest.approx(1.0)
 
 
+def test_pushforward_rejects_out_of_range_terms():
+    u = DistributionTable.point_mass(BitState.from_bits((1, 0, 0)))
+    for terms in ((0,), (1, 4), (2, -1), (1.0,), (True,)):
+        with pytest.raises(ContractError):
+            exact_pushforward(u, terms)
+
+
+def _stepwise_pushforward(dist, terms):
+    """The point-mass route, one exact_distribution_step per term."""
+    for t in terms:
+        q = np.zeros(dist.n_cells)
+        q[t - 1] = 1.0
+        dist = exact_distribution_step(dist, q)
+    return dist
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_pushforward_equals_stepwise_route(data):
+    n = data.draw(st.integers(1, 7))
+    raw = np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=1 << n, max_size=1 << n)))
+    raw[0] += 0.5
+    dist = DistributionTable(n, raw / raw.sum())
+    terms = data.draw(st.lists(st.integers(1, n), max_size=40))
+    out = exact_pushforward(dist, terms)
+    assert out.probs.tobytes() == _stepwise_pushforward(dist, terms).probs.tobytes()
+
+
 # --- keyed-mode verdict -----------------------------------------------------------
 
 

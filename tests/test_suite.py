@@ -23,6 +23,12 @@ def test_run_suite_validates_inputs():
         run_suite("full", 0, 0)
     with pytest.raises(ContractError):
         run_suite("full", 2, -1)
+    for suite in SUITES:
+        for bad in (20000.0, True, False, 0, -5, "64", None):
+            with pytest.raises(ContractError):
+                run_suite(suite, 2, 0, sample_count=bad)
+            with pytest.raises(ContractError):
+                run_suite(suite, 2, 0, n_iter=bad)
 
 
 def test_stego_suite_members():
