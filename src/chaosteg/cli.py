@@ -29,6 +29,9 @@ from .suite import DEFAULT_N_ITER, DEFAULT_SAMPLE_COUNT, SUITES, run_suite
 __all__ = ["main"]
 
 _HEX16 = re.compile(r"^[0-9a-fA-F]{16}$")
+# netpbm magics that --format auto refuses rather than read as raw bytes,
+# since LSB flips in their headers would corrupt the file
+_OTHER_NETPBM = (b"P1", b"P2", b"P3", b"P4", b"P6", b"P7")
 
 _CONFIG_TYPES = {
     "mode": str,
@@ -112,10 +115,15 @@ def _message_from_file(path: str) -> Fixed64:
 
 
 def _load_cover(data: bytes, fmt: str) -> CoverMedia:
+    if fmt not in ("auto", "raw", "pgm"):
+        raise ParseError(f"format must be auto, raw, or pgm, got {fmt!r}")
+    if fmt == "auto" and data[:2] in _OTHER_NETPBM:
+        raise ParseError(
+            f"magic {data[:2].decode()} is a netpbm format other than binary PGM (P5); "
+            "pass --format raw to use every byte as a sample"
+        )
     if fmt == "pgm" or (fmt == "auto" and data[:2] == b"P5"):
         return load_pgm(data)
-    if fmt not in ("auto", "raw"):
-        raise ParseError(f"format must be auto, raw, or pgm, got {fmt!r}")
     return raw_cover(data)
 
 

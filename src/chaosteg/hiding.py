@@ -81,16 +81,17 @@ def embed(cover: CoverMedia, config: EmbeddingConfig) -> CoverMedia:
 
 def detect_nonblind(original: CoverMedia, suspect: CoverMedia,
                     config: EmbeddingConfig) -> DetectionResult:
-    """Recompute the marked plane from ``original`` and compare LSC planes."""
-    same_shape = (
-        original.kind == suspect.kind
-        and len(original.payload) == len(suspect.payload)
-        and original.lsc_map == suspect.lsc_map
-        and (original.width, original.height, original.maxval)
-        == (suspect.width, suspect.height, suspect.maxval)
-    )
-    if not same_shape:
-        raise ContractError("original and suspect covers differ in shape")
+    """Recompute the marked plane from ``original`` and compare LSC planes.
+
+    The covers must agree in geometry (kind, cell count and image fields);
+    header bytes are not compared, so a commented PGM header and the
+    canonical one that :func:`~chaosteg.media.save_pgm` writes both match.
+    """
+    geometry = [(c.kind, c.n_cells, c.width, c.height, c.maxval) for c in (original, suspect)]
+    if geometry[0] != geometry[1]:
+        raise ContractError(
+            f"original and suspect covers differ in geometry: {geometry[0]} vs {geometry[1]}"
+        )
     expected = _marked_plane(extract_lscs(original), config)
     observed = extract_lscs(suspect)
     d = state_distance(expected, observed)

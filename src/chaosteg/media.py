@@ -1,16 +1,16 @@
 """Cover containers and the least-significant-bit plane.
 
-A cover is a byte payload (a raw stream or a binary PGM image) plus an
-ordered map of byte offsets whose least significant bits form the state
-vector the dynamics act on.  Extraction and injection touch only those
-bits, so any embedding perturbs each byte by at most 1.
+A cover is its file bytes plus the offset where its samples start; the
+samples run from there to the end of the payload.  A raw cover's samples
+are all its bytes, a binary PGM's are its pixels.  The LSB of each sample
+is one cell of the state vector the dynamics act on, so any embedding
+perturbs each sample by at most 1 and never touches a header byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -32,100 +32,63 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 @dataclass(frozen=True)
 class CoverMedia:
-    """A byte payload plus the offsets carrying its LSC plane.
+    """A byte payload whose samples run from ``pixel_offset`` to its end.
 
-    ``lsc_map`` positions must be strictly increasing and inside the
-    payload; cell i of the extracted state comes from position i.  A
-    contiguous map is held as a ``range``, so equal maps compare equal.  For
-    PGM covers the map covers exactly the pixel bytes in row-major order,
-    starting at ``pixel_offset``.
+    Cell i of the LSC plane is the LSB of sample i.  Raw covers start at
+    offset 0 and carry no image fields; PGM covers hold exactly
+    ``width * height`` pixel bytes, in row-major order, after their header.
     """
 
     payload: bytes
     kind: str
-    lsc_map: Sequence[int]
     width: int | None = None
     height: int | None = None
     maxval: int | None = None
-    pixel_offset: int | None = None
+    pixel_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("raw", "pgm"):
             raise ContractError(f"kind must be 'raw' or 'pgm', got {self.kind!r}")
         if not isinstance(self.payload, bytes):
             raise ContractError("payload must be bytes")
-        if len(self.lsc_map) == 0:
-            raise ContractError("lsc_map must not be empty")
-        if isinstance(self.lsc_map, range):
-            if self.lsc_map.step != 1:
-                raise ContractError("a range lsc_map must have step 1")
-            lo, hi = self.lsc_map.start, self.lsc_map.stop - 1
-        else:
-            object.__setattr__(self, "lsc_map", tuple(self.lsc_map))
-            for a, b in zip(self.lsc_map, self.lsc_map[1:]):
-                if b <= a:
-                    raise ContractError("lsc_map positions must be strictly increasing")
-            lo, hi = self.lsc_map[0], self.lsc_map[-1]
-            if hi - lo == len(self.lsc_map) - 1:  # contiguous: held as a range
-                object.__setattr__(self, "lsc_map", range(lo, hi + 1))
-        if lo < 0 or hi >= len(self.payload):
-            raise ContractError("lsc_map positions fall outside the payload")
-        if self.kind == "pgm":
-            self._check_pgm_fields()
-        elif not (self.width is self.height is self.maxval is self.pixel_offset is None):
-            raise ContractError("raw covers carry no image fields")
-
-    def _check_pgm_fields(self) -> None:
-        w, h, mv, po = self.width, self.height, self.maxval, self.pixel_offset
-        if None in (w, h, mv, po) or w < 1 or h < 1 or not 1 <= mv <= 255:
-            raise ContractError("pgm covers need width, height, maxval <= 255, pixel_offset")
-        n = w * h
-        # strictly increasing + matching endpoints + matching length forces
-        # the map to be exactly the contiguous pixel run
-        if (len(self.lsc_map) != n or self.lsc_map[0] != po
-                or self.lsc_map[-1] != po + n - 1):
-            raise ContractError("pgm lsc_map must cover exactly the pixel bytes in order")
+        po = self.pixel_offset
+        if not isinstance(po, int) or not 0 <= po < len(self.payload):
+            raise ContractError(
+                f"pixel_offset {po!r} leaves no sample in a payload of {len(self.payload)} bytes"
+            )
+        if self.kind == "raw":
+            if po or not (self.width is self.height is self.maxval is None):
+                raise ContractError("raw covers start at offset 0 and carry no image fields")
+            return
+        w, h, mv = self.width, self.height, self.maxval
+        if None in (w, h, mv) or w < 1 or h < 1 or not 1 <= mv <= 255:
+            raise ContractError("pgm covers need width, height >= 1 and maxval in 1..255")
+        if w * h != self.n_cells:
+            raise ContractError(f"{w}x{h} image, but {self.n_cells} bytes follow the header")
 
     @property
     def n_cells(self) -> int:
-        return len(self.lsc_map)
+        return len(self.payload) - self.pixel_offset
 
 
-def raw_cover(payload: bytes, start: int = 0, count: int | None = None) -> CoverMedia:
-    """Wrap a byte stream; the LSC plane is the LSB of every byte.
-
-    ``start``/``count`` select a contiguous byte region instead of the
-    whole stream.
-    """
-    if not isinstance(payload, bytes):
-        raise ContractError("payload must be bytes")
-    if count is None:
-        count = len(payload) - start
-    if start < 0 or count < 1 or start + count > len(payload):
-        raise ContractError(
-            f"region [{start}, {start + count}) outside payload of {len(payload)} bytes"
-        )
-    return CoverMedia(payload=payload, kind="raw", lsc_map=range(start, start + count))
+def raw_cover(payload: bytes) -> CoverMedia:
+    """Wrap a byte stream; the LSC plane is the LSB of every byte."""
+    return CoverMedia(payload=payload, kind="raw")
 
 
-def _lsc_index(cover: CoverMedia) -> slice | np.ndarray:
-    """Index of the mapped bytes: a slice for a range map, else an array."""
-    m = cover.lsc_map
-    if isinstance(m, range):
-        return slice(m.start, m.stop)
-    return np.asarray(m, dtype=np.intp)
+def _samples(cover: CoverMedia) -> np.ndarray:
+    return np.frombuffer(cover.payload, dtype=np.uint8, offset=cover.pixel_offset)
 
 
 def extract_lscs(cover: CoverMedia) -> BitState:
-    """LSB of each mapped byte, as a state (cell i from position i)."""
-    data = np.frombuffer(cover.payload, dtype=np.uint8)
-    bits = data[_lsc_index(cover)] & 1
+    """LSB of each sample, as a state (cell i from sample i)."""
+    bits = _samples(cover) & 1
     packed = np.packbits(bits, bitorder="little").tobytes()
     return BitState(int.from_bytes(packed, "little"), int(bits.size))
 
 
 def inject_lscs(cover: CoverMedia, state: BitState) -> CoverMedia:
-    """Write ``state`` into the LSBs at the mapped positions.
+    """Write ``state`` into the sample LSBs.
 
     Everything outside those bits is byte-identical to the input, so
     ``extract_lscs(inject_lscs(c, s)) == s`` and per-byte change is <= 1.
@@ -134,16 +97,14 @@ def inject_lscs(cover: CoverMedia, state: BitState) -> CoverMedia:
     """
     if state.n_cells != cover.n_cells:
         raise ContractError(
-            f"state has {state.n_cells} cells, cover maps {cover.n_cells} positions"
+            f"state has {state.n_cells} cells, cover has {cover.n_cells} samples"
         )
-    arr = np.frombuffer(cover.payload, dtype=np.uint8).copy()
-    idx = _lsc_index(cover)
     nbytes = (state.n_cells + 7) // 8
     bits = np.unpackbits(
         np.frombuffer(state.value.to_bytes(nbytes, "little"), dtype=np.uint8),
         bitorder="little", count=state.n_cells,
     )
-    marked = (arr[idx] & 0xFE) | bits
+    marked = (_samples(cover) & 0xFE) | bits
     if cover.kind == "pgm" and cover.maxval % 2 == 0:
         over = np.flatnonzero(marked > cover.maxval)
         if over.size:
@@ -151,8 +112,8 @@ def inject_lscs(cover: CoverMedia, state: BitState) -> CoverMedia:
                 f"pixel {int(over[0])} would become {int(marked[over[0]])}, "
                 f"above maxval {cover.maxval}; this cover cannot carry that plane"
             )
-    arr[idx] = marked
-    return replace(cover, payload=arr.tobytes())
+    header = cover.payload[:cover.pixel_offset]
+    return replace(cover, payload=header + marked.tobytes())
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -206,8 +167,8 @@ def load_pgm(data: bytes) -> CoverMedia:
     peak = int(np.frombuffer(data, dtype=np.uint8, offset=pos).max())
     if peak > maxval:
         raise ParseError(f"pixel value {peak} exceeds maxval {maxval}")
-    return CoverMedia(payload=data, kind="pgm", lsc_map=range(pos, pos + n),
-                      width=width, height=height, maxval=maxval, pixel_offset=pos)
+    return CoverMedia(payload=data, kind="pgm", width=width, height=height,
+                      maxval=maxval, pixel_offset=pos)
 
 
 def save_pgm(cover: CoverMedia) -> bytes:
@@ -215,16 +176,7 @@ def save_pgm(cover: CoverMedia) -> bytes:
     if cover.kind != "pgm":
         raise ContractError("save_pgm needs a pgm cover")
     header = f"P5\n{cover.width} {cover.height}\n{cover.maxval}\n".encode("ascii")
-    start = cover.pixel_offset
-    return header + cover.payload[start:start + cover.width * cover.height]
-
-
-def _samples(cover: CoverMedia) -> np.ndarray:
-    data = np.frombuffer(cover.payload, dtype=np.uint8)
-    if cover.kind == "pgm":
-        start = cover.pixel_offset
-        return data[start:start + cover.width * cover.height]
-    return data
+    return header + cover.payload[cover.pixel_offset:]
 
 
 def psnr(original: CoverMedia, modified: CoverMedia) -> float:

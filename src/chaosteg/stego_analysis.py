@@ -118,6 +118,13 @@ def exact_pushforward(dist: DistributionTable, terms: Iterable[int]) -> Distribu
     return DistributionTable(dist.n_cells, dist.probs[np.arange(dist.probs.size) ^ mask])
 
 
+def require_positive_ints(**budgets: object) -> None:
+    """Refuse any budget that is not a positive ``int``; ``bool`` is refused too."""
+    for name, value in budgets.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ContractError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _keyed_run(n_cells: int, cap: int, n_iter: int, sample_count: int, seed: int,
                km: KeyMaterial | None, tag: int) -> tuple[tuple[int, ...], np.ndarray, dict]:
     """One keyed run over uniform covers: terms, embedded histogram, report fields.
@@ -128,8 +135,7 @@ def _keyed_run(n_cells: int, cap: int, n_iter: int, sample_count: int, seed: int
     """
     if not isinstance(n_cells, int) or not 1 <= n_cells <= cap:
         raise ContractError(f"n_cells must be an integer in 1..{cap}, got {n_cells!r}")
-    if not isinstance(n_iter, int) or n_iter < 1:
-        raise ContractError(f"n_iter must be a positive integer, got {n_iter!r}")
+    require_positive_ints(sample_count=sample_count, n_iter=n_iter)
     bins = 1 << n_cells
     if sample_count < 10 * bins:
         raise UnderpoweredTestError(

@@ -15,6 +15,7 @@ from .errors import ContractError
 from .report import emit_report
 from .stego_analysis import (
     mc_exact_agreement,
+    require_positive_ints,
     strategy_state_dependence,
     verify_ciis_stego,
     verify_cids_not_stego,
@@ -64,9 +65,7 @@ def run_suite(suite: str, n_cells: int, seed: int,
         )
     if not isinstance(seed, int) or seed < 0:
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
-    for name, budget in (("sample_count", sample_count), ("n_iter", n_iter)):
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise ContractError(f"{name} must be a positive integer, got {budget!r}")
+    require_positive_ints(sample_count=sample_count, n_iter=n_iter)
 
     verdicts: dict = {}
     if suite in ("full", "stego"):

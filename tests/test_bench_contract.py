@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from chaosteg import suite
+from chaosteg.media import load_pgm, raw_cover
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +50,14 @@ def test_full_suite_verdicts_and_traced_counters():
         verdicts["ciis_stego"]["monte_carlo"]["sample_count"]
         + verdicts["mc_exact_agreement"]["sample_count"])
     assert tracer.count["dynamics.step_calls"] > 0
+
+
+@pytest.mark.parametrize(("load", "data"), [
+    (load_pgm, b"P5\n# scanner v2\n4 3\n255\n" + bytes(range(12))),
+    (raw_cover, bytes(range(7))),
+], ids=["commented-pgm", "raw"])
+def test_bench_pixels_are_the_cover_samples(load, data):
+    # the bench checks read a cover's samples as the file's last n_cells bytes
+    checks = _load("checks")
+    cover = load(data)
+    assert checks.pixels(data, cover.n_cells).tobytes() == data[cover.pixel_offset:]

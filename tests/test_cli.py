@@ -111,6 +111,51 @@ def test_embed_missing_input_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_commented_pgm_header_detects_its_own_mark(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(b"P5\n# scanner v2\n64 64\n255\n"
+                      + rng.integers(0, 256, size=64 * 64, dtype=np.uint8).tobytes())
+    out = tmp_path / "marked.pgm"
+    keyed = ["--mode", "ciis", "--key", "0.3"]
+    code, _, _ = run(["embed", "--in", str(cover), "--out", str(out), *keyed], capsys)
+    assert code == 0
+    assert out.read_bytes().startswith(b"P5\n64 64\n255\n")  # canonical header
+    code, text, _ = run(["detect", "--original", str(cover), "--suspect", str(out),
+                         *keyed], capsys)
+    assert (code, text) == (0, "verdict=match\ndistance=0\n")
+
+
+def test_detect_mismatched_geometry_exit_2(tmp_path, capsys):
+    original = tmp_path / "a.pgm"
+    original.write_bytes(b"P5\n64 64\n255\n" + bytes(4096))
+    suspect = tmp_path / "b.pgm"
+    suspect.write_bytes(b"P5\n32 128\n255\n" + bytes(4096))  # same cell count
+    code, out, err = run(["detect", "--original", str(original), "--suspect", str(suspect),
+                          "--mode", "ciis", "--key", "0.3"], capsys)
+    assert (code, out) == (2, "")
+    assert "geometry" in err
+
+
+@pytest.mark.parametrize("data", [
+    b"P6\n16 16\n255\n" + bytes(range(256)) * 3,
+    b"P2\n2 2\n255\n1 2 3 4\n",
+], ids=["P6", "P2"])
+def test_auto_format_refuses_other_netpbm_files(tmp_path, capsys, data):
+    cover = tmp_path / "cover.pnm"
+    cover.write_bytes(data)
+    out = tmp_path / "marked.pnm"
+    code, text, err = run(["embed", "--in", str(cover), "--out", str(out),
+                           "--mode", "ciis", "--key", "0.3"], capsys)
+    assert (code, text) == (2, "")
+    assert "--format raw" in err
+    assert not out.exists()
+    assert run(["lscs", "--in", str(cover)], capsys)[0] == 2
+    code, text, _ = run(["lscs", "--in", str(cover), "--format", "raw"], capsys)
+    assert code == 0
+    assert f"n_cells={len(data)}" in text
+
+
 def test_key_accepts_hex_and_decimal(tmp_path, capsys):
     cover = tmp_path / "c.bin"
     cover.write_bytes(bytes(range(16)))

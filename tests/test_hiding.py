@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaosteg.dynamics import BitState, state_distance
 from chaosteg.errors import ContractError, DomainError
 from chaosteg.fixedpoint import Fixed64
 from chaosteg.hiding import DetectionResult, EmbeddingConfig, detect_nonblind, embed
-from chaosteg.media import CoverMedia, extract_lscs, inject_lscs, load_pgm, raw_cover, save_pgm
+from chaosteg.media import extract_lscs, inject_lscs, load_pgm, raw_cover, save_pgm
 from chaosteg.strategies import DEFAULT_BURN_IN, KeyMaterial, PlcmParams, ciis_strategy
 
 from conftest import naive_iterate, rational_keystream
@@ -104,14 +106,6 @@ def test_embed_refuses_a_pixel_above_an_even_maxval():
     assert load_pgm(save_pgm(marked)).payload[-2:] == bytes([254, 10])
 
 
-def test_detect_accepts_one_map_given_two_ways():
-    payload = bytes(range(40))
-    by_range = raw_cover(payload, start=4, count=32)
-    by_tuple = CoverMedia(payload=payload, kind="raw", lsc_map=tuple(range(4, 36)))
-    cfg = ciis_config(32, 64)
-    assert detect_nonblind(by_range, embed(by_tuple, cfg), cfg).match
-
-
 def test_embed_key_material_cover_size_mismatch():
     with pytest.raises(ContractError):
         embed(raw_cover(bytes(8)), ciis_config(4, 4))
@@ -190,11 +184,17 @@ def test_detect_wrong_key_mean_distance():
 
 def test_detect_shape_mismatch_rejected():
     cfg = EmbeddingConfig(key_material=None, n_iter=4, strategy_mode="cids")
-    with pytest.raises(ContractError):
-        detect_nonblind(raw_cover(bytes(4)), raw_cover(bytes(5)), cfg)
-    pgm = load_pgm(b"P5\n2 2\n255\n" + bytes(4))
-    with pytest.raises(ContractError):
-        detect_nonblind(pgm, raw_cover(bytes(len(pgm.payload))), cfg)
+    pgm = load_pgm(b"P5\n64 64\n255\n" + bytes(4096))
+    pairs = [
+        (raw_cover(bytes(4)), raw_cover(bytes(5))),
+        (pgm, raw_cover(bytes(len(pgm.payload)))),
+        (pgm, raw_cover(bytes(4096))),                          # same cell count
+        (pgm, load_pgm(b"P5\n32 128\n255\n" + bytes(4096))),  # same cell count
+        (pgm, load_pgm(b"P5\n64 64\n127\n" + bytes(4096))),   # other maxval
+    ]
+    for original, suspect in pairs:
+        with pytest.raises(ContractError, match="geometry"):
+            detect_nonblind(original, suspect, cfg)
 
 
 def test_detect_cids_on_pgm_round_trip():
@@ -204,6 +204,35 @@ def test_detect_cids_on_pgm_round_trip():
     assert marked.kind == "pgm"
     assert detect_nonblind(pgm, marked, cfg).match
     assert extract_lscs(marked).value in (0, 1)
+
+
+_PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_COMMENT = st.builds("#{}{}".format, st.text(_PRINTABLE, max_size=8), st.sampled_from("\n\r"))
+_SEPARATOR = st.lists(st.one_of(st.text(" \t\r\n\x0b\x0c", min_size=1, max_size=3), _COMMENT),
+                      min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 255),
+       st.lists(_SEPARATOR, min_size=3, max_size=3), st.sampled_from(" \t\r\n\x0b\x0c"),
+       st.data())
+def test_any_p5_header_round_trips_to_a_match(w, h, maxval, seps, last, data):
+    n = w * h
+    header = f"P5{seps[0]}{w}{seps[1]}{h}{seps[2]}{maxval}{last}".encode()
+    pixels = bytes(data.draw(st.lists(st.integers(0, maxval), min_size=n, max_size=n)))
+    cover = load_pgm(header + pixels)
+    assert cover.pixel_offset == len(header)
+    cfg = ciis_config(n, 2 * n)
+    try:
+        marked = embed(cover, cfg)
+    except DomainError:  # a pixel at an even maxval would need its LSB set
+        assert maxval % 2 == 0 and maxval in pixels
+        return
+    assert marked.payload[:len(header)] == header
+    reloaded = load_pgm(save_pgm(marked))
+    assert detect_nonblind(cover, reloaded, cfg) == DetectionResult(True, 0, n)
+    out = np.frombuffer(reloaded.payload, dtype=np.uint8, offset=reloaded.pixel_offset)
+    assert np.array_equal(out | 1, np.frombuffer(pixels, dtype=np.uint8) | 1)
 
 
 def test_embeds_agree_with_direct_strategy_iteration():

@@ -26,30 +26,30 @@ def pgm_bytes(width, height, pixels, maxval=255, header=None):
 # --- raw covers -------------------------------------------------------------
 
 
-def test_raw_cover_region():
-    c = raw_cover(b"\x00\x01\x02\x03", start=1, count=2)
-    assert list(c.lsc_map) == [1, 2]
-    assert c.n_cells == 2
+def test_raw_cover_is_every_byte():
+    c = raw_cover(b"\x00\x01\x02\x03")
+    assert (c.pixel_offset, c.n_cells) == (0, 4)
+    assert extract_lscs(c).bits() == (0, 1, 0, 1)
 
 
 def test_raw_cover_rejects_bad_region():
     with pytest.raises(ContractError):
         raw_cover(b"")
     with pytest.raises(ContractError):
-        raw_cover(b"abc", start=2, count=2)
-    with pytest.raises(ContractError):
-        raw_cover(b"abc", start=-1)
+        raw_cover(bytearray(b"abc"))
 
 
 def test_cover_media_validation():
     with pytest.raises(ContractError):
-        CoverMedia(payload=b"ab", kind="raw", lsc_map=(1, 0))
+        CoverMedia(payload=b"ab", kind="jpeg")
     with pytest.raises(ContractError):
-        CoverMedia(payload=b"ab", kind="raw", lsc_map=(0, 5))
+        CoverMedia(payload=b"ab", kind="raw", width=2)
     with pytest.raises(ContractError):
-        CoverMedia(payload=b"ab", kind="raw", lsc_map=(0,), width=2)
-    with pytest.raises(ContractError):
-        CoverMedia(payload=b"ab", kind="jpeg", lsc_map=(0,))
+        CoverMedia(payload=b"ab", kind="raw", pixel_offset=1)  # raw starts at 0
+    for offset in (-1, 2, 5):
+        with pytest.raises(ContractError):
+            CoverMedia(payload=b"ab", kind="pgm", width=1, height=1, maxval=255,
+                       pixel_offset=offset)
 
 
 # --- the LSC plane ----------------------------------------------------------
@@ -84,17 +84,6 @@ def test_inject_perturbs_each_byte_by_at_most_one(payload, data):
                       cover.n_cells)
     out = inject_lscs(cover, target).payload
     assert all(abs(a - b) <= 1 for a, b in zip(payload, out))
-
-
-def test_sparse_lsc_map_touches_only_mapped_bytes():
-    payload = bytes(range(16))
-    cover = CoverMedia(payload=payload, kind="raw", lsc_map=(1, 5, 11))
-    out = inject_lscs(cover, BitState.ones(3)).payload
-    for i in range(16):
-        if i in (1, 5, 11):
-            assert out[i] == payload[i] | 1
-        else:
-            assert out[i] == payload[i]
 
 
 def test_inject_cell_count_mismatch():
@@ -144,11 +133,16 @@ def test_pgm_rejections():
 
 
 def test_pgm_cover_shape_contract():
-    data = pgm_bytes(2, 2, bytes(4))
-    c = load_pgm(data)
-    with pytest.raises(ContractError):
-        CoverMedia(payload=c.payload, kind="pgm", lsc_map=range(0, 4),
-                   width=2, height=2, maxval=255, pixel_offset=c.pixel_offset)
+    c = load_pgm(pgm_bytes(2, 2, bytes(4)))
+    assert c.n_cells == len(c.payload) - c.pixel_offset == 4
+    fields = dict(width=2, height=2, maxval=255)
+    # the samples after the offset must be exactly width * height bytes
+    for offset in (0, c.pixel_offset - 1, c.pixel_offset + 1):
+        with pytest.raises(ContractError):
+            CoverMedia(payload=c.payload, kind="pgm", pixel_offset=offset, **fields)
+    for bad in (dict(fields, width=None), dict(fields, height=0), dict(fields, maxval=256)):
+        with pytest.raises(ContractError):
+            CoverMedia(payload=c.payload, kind="pgm", pixel_offset=c.pixel_offset, **bad)
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.data())

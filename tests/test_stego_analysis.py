@@ -177,6 +177,19 @@ def test_mc_exact_agreement_threshold_scales_for_small_runs():
     assert r["threshold"] == pytest.approx(max(0.01, 1.5 * np.sqrt(256 / 30_000)))
 
 
+@pytest.mark.parametrize("verdict", [verify_ciis_stego, mc_exact_agreement])
+@pytest.mark.parametrize("budget", [dict(sample_count=20_000.0), dict(sample_count=True),
+                                    dict(sample_count="20000"), dict(n_iter=True),
+                                    dict(n_iter=0), dict(n_iter=8.0)],
+                         ids=["float-count", "bool-count", "str-count",
+                              "bool-n_iter", "zero-n_iter", "float-n_iter"])
+def test_keyed_verdicts_refuse_non_int_budgets(verdict, budget):
+    # the same rule as run_suite: a positive int, and bool is not an int here
+    name = next(iter(budget))
+    with pytest.raises(ContractError, match=name):
+        verdict(n_cells=2, seed=0, **{"sample_count": 20_000, "n_iter": 8, **budget})
+
+
 # --- cover-driven verdict -----------------------------------------------------------
 
 
